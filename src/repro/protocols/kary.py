@@ -21,6 +21,11 @@ Exactness: within each phase/sub-phase displays are constant, so each
 agent's tallies are ``Multinomial(rounds*h, q)`` with
 ``q = delta + (display_counts/n)(1-k*delta)`` under the k-ary uniform
 channel — the same exchangeability shortcut as the binary engines.
+It deliberately does not share the binary fast-SF kernel: it draws
+multinomial tallies and breaks ties with a jittered arg-max, so routing
+it through the kernel's binomial draws and tie coins would change its
+RNG stream and move the EXT1 numbers (cf. "Noisy Rumor Spreading and
+Plurality Consensus", PAPERS.md).
 
 The budget reuses Eq. (19) with ``(1-k*delta)^2`` in place of
 ``(1-2*delta)^2`` and the bias ``s = top1 - top2``.  This extension is

@@ -11,6 +11,12 @@ Exploits two exactness facts to simulate whole phases at once:
 * Weak opinions depend only on the agent's own samples, noise and coin
   (Lemma 28), so they may be drawn i.i.d.
 
+One kernel (:meth:`FastSourceFilter._simulate`) runs every entry point:
+a single run or ``R`` replicas along a leading axis, under one of three
+observation models that only change how ``q`` is formed — ``k/n`` on
+the complete graph, ``k/|visible|`` under a fault model, and
+``k_i/deg_i`` per agent on a static graph.
+
 The result is an SF simulation whose cost is ``O(n * num_subphases)``
 regardless of ``h`` or the round count, making the paper's whole
 ``(n, h, delta, s)`` evaluation grid laptop-feasible.  Statistical
@@ -21,18 +27,21 @@ equivalence with the agent-level implementation is enforced by
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, UnsupportedFeatureError
 from ..faults.base import validate_sample_loss
+from ..faults.metrics import RecoveryTracker
 from ..model.config import PopulationConfig
+from ..model.population import Population
 from ..noise import NoiseMatrix
 from ..results import RunReport
 from ..telemetry import Telemetry, ensure_telemetry
 from ..types import RngLike, coerce_rng, seed_of
 from .parameters import SFSchedule
+from .ssf import majority_with_ties
 
 
 def _uniform_delta(noise: Union[float, NoiseMatrix]) -> float:
@@ -47,12 +56,13 @@ def _uniform_delta(noise: Union[float, NoiseMatrix]) -> float:
     return delta
 
 
-def observe_one_probability(k_displaying: int, n: int, delta: float) -> float:
+def observe_one_probability(k_displaying, n, delta: float):
     """P(one noisy observation equals the counted symbol).
 
     ``k_displaying`` agents display the symbol; a uniform sample hits one
     of them with probability ``k/n`` and the binary symmetric channel
-    keeps/flips with probabilities ``1-delta`` / ``delta``.
+    keeps/flips with probabilities ``1-delta`` / ``delta``.  Arrays
+    broadcast (per-replica counts, per-agent neighbor counts/degrees).
     """
     frac = k_displaying / n
     return frac * (1.0 - delta) + (1.0 - frac) * delta
@@ -90,6 +100,30 @@ class SFRunResult(RunReport):
     seed: Optional[int] = None
 
 
+@dataclasses.dataclass
+class _Observation:
+    """How one run turns a display vector into look probabilities.
+
+    ``count(displays, round_index, symbol)`` is the number of samplable
+    agents showing ``symbol`` out of ``pool`` (``n``, the visible
+    population, or each agent's degree), so one look observes the
+    symbol with probability ``observe_one_probability(count, pool,
+    delta)``.  Convergence is judged over ``eval_mask`` (``None`` =
+    everyone); ``tags`` label the phase timers.
+    """
+
+    count: Callable[[np.ndarray, int, int], object]
+    pool: Union[int, np.ndarray]
+    delta: float
+    eval_mask: Optional[np.ndarray] = None
+    tracker: Optional[RecoveryTracker] = None
+    tags: Dict[str, object] = dataclasses.field(default_factory=dict)
+
+    def q(self, displays: np.ndarray, round_index: int, symbol: int):
+        k = self.count(displays, round_index, symbol)
+        return observe_one_probability(k, self.pool, self.delta)
+
+
 class FastSourceFilter:
     """Phase-at-a-time SF simulator under uniform binary noise.
 
@@ -106,24 +140,22 @@ class FastSourceFilter:
         Optional pre-built :class:`SFSchedule`; by default Eq. (19) with
         the calibrated constant.
     fault_model:
-        Optional :class:`~repro.faults.FaultModel`.  The engine stays on
-        its exact phase-batched path when the model is ``None`` or null
-        (bit-identical either way); otherwise it switches to a faulted
-        path that recomputes the per-phase observation probabilities
-        from the transformed display vector.  Only time-invariant,
-        deterministic-display faults are supported here (the exactness
-        argument needs within-phase constancy) — use
-        :class:`~repro.model.PullEngine` for the rest.  A
-        :class:`~repro.faults.NoiseMisspecification` makes the schedule
-        derive from the assumed ``noise`` while the dynamics run at the
-        true level.
+        Optional :class:`~repro.faults.FaultModel`.  ``None`` or a null
+        model runs the complete-graph observation model (bit-identical
+        either way); otherwise each phase's observation probabilities
+        are recomputed from the transformed display vector over the
+        visible agents.  Only time-invariant, deterministic-display
+        faults are supported here (the exactness argument needs
+        within-phase constancy) — use :class:`~repro.model.PullEngine`
+        for the rest.  A :class:`~repro.faults.NoiseMisspecification`
+        makes the schedule derive from the assumed ``noise`` while the
+        dynamics run at the true level.
     topology:
         Optional topology spec (:func:`~repro.topology.create_topology`).
-        ``None``/complete runs the uniform phase-batched path
-        (bit-identical); a static graph switches to the structured path
-        (:meth:`_run_structured`) whose per-agent observation
-        probabilities come from neighbor symbol counts.  Dynamic (churn)
-        topologies and graph+fault combinations raise
+        ``None``/complete keeps the complete-graph model (bit-identical);
+        a static graph switches to per-agent observation probabilities
+        from neighbor symbol counts.  Dynamic (churn) topologies and
+        graph+fault combinations raise
         :class:`~repro.exceptions.UnsupportedFeatureError`.
     """
 
@@ -142,79 +174,282 @@ class FastSourceFilter:
         self.sample_loss = validate_sample_loss(sample_loss)
         self.fault_model = fault_model
         self.topology = topology
-        if topology is not None:
-            from ..exceptions import UnsupportedFeatureError
-            from ..topology import create_topology
-
-            sampler = create_topology(topology)
-            if not sampler.is_uniform:
-                if sampler.dynamic:
-                    raise UnsupportedFeatureError(
-                        f"the fast SF engine simulates whole phases in "
-                        f"one draw and needs a static graph; dynamic "
-                        f"topology {sampler.kind!r} requires the serial "
-                        f"PullEngine"
-                    )
-                if fault_model is not None and not getattr(
-                    fault_model, "is_null", True
-                ):
-                    raise UnsupportedFeatureError(
-                        "the fast SF engine composes a graph topology or "
-                        "a fault model, not both (the fault seam counts "
-                        "symbols over the globally-visible population)"
-                    )
+        sampler = self._graph_sampler()
+        if sampler is not None:
+            if sampler.dynamic:
+                raise UnsupportedFeatureError(
+                    f"the fast SF engine simulates whole phases in "
+                    f"one draw and needs a static graph; dynamic "
+                    f"topology {sampler.kind!r} requires the serial "
+                    f"PullEngine"
+                )
+            if self._active_fault() is not None:
+                raise UnsupportedFeatureError(
+                    "the fast SF engine composes a graph topology or "
+                    "a fault model, not both (the fault seam counts "
+                    "symbols over the globally-visible population)"
+                )
         if schedule is None:
             kwargs = {} if constant is None else {"constant": constant}
             schedule = SFSchedule.from_config(config, self.delta, **kwargs)
         self.schedule = schedule
 
     # ------------------------------------------------------------------
-    def draw_weak_opinions(self, rng: RngLike = None) -> np.ndarray:
-        """Draw the i.i.d. weak-opinion vector (end of Phase 1).
+    # Observation models (built once per run)
+    # ------------------------------------------------------------------
+    def _active_fault(self):
+        fault = self.fault_model
+        return None if fault is None or fault.is_null else fault
+
+    def _graph_sampler(self):
+        """The topology sampler when it is a real graph, else ``None``."""
+        if self.topology is None:
+            return None
+        from ..topology import create_topology
+
+        sampler = create_topology(self.topology)
+        return None if sampler.is_uniform else sampler
+
+    def _complete_observation(self) -> _Observation:
+        def count(displays, round_index, symbol):
+            k = np.count_nonzero(displays == symbol, axis=-1)
+            # One run keeps a scalar k: numpy's binomial draws the same
+            # stream for a scalar p and a broadcast p-array, but the
+            # scalar path skips the per-element broadcast loop.
+            return k if displays.ndim == 1 else k[:, None]
+
+        return _Observation(count, self.config.n, self.delta)
+
+    def _observation(self, generator: np.random.Generator) -> _Observation:
+        """This run's observation model; may draw from ``generator``.
+
+        Faulted: symbol counts over the *visible* agents after the fault
+        model's display transform, at the true channel level.  Graph:
+        per-agent neighbor counts over degrees.  The engine is
+        positional either way — agents ``0..s0-1`` are the 0-preferring
+        sources and ``s0..s-1`` the 1-preferring ones, on whatever graph
+        nodes carry those labels (random families label nodes randomly,
+        so this is a uniformly random placement).  A string/unbound
+        graph spec realizes a fresh graph from the run generator every
+        run; a pre-bound sampler pins one quenched graph across runs.
+        """
+        cfg, sched = self.config, self.schedule
+        fault = self._active_fault()
+        if fault is not None:
+            fault.reset(Population(cfg, shuffle=False), 2, generator)
+            if not fault.deterministic_displays:
+                raise ConfigurationError(
+                    "the fast SF engine needs deterministic fault displays "
+                    "(within-phase constancy is its exactness argument); use "
+                    "PullEngine for randomized display faults"
+                )
+            if any(r < sched.total_rounds for r in fault.transition_rounds()):
+                raise ConfigurationError(
+                    "the fast SF engine simulates whole phases in one draw and "
+                    "supports only time-invariant fault models; use PullEngine "
+                    "or the fast SSF engine for scheduled crash/recovery faults"
+                )
+            visible = fault.visible_agents(0)
+            eval_mask = fault.evaluation_mask()
+            if eval_mask is not None and not eval_mask.any():
+                raise ConfigurationError(
+                    "fault model excludes every agent from evaluation"
+                )
+
+            def count(displays, round_index, symbol):
+                shown = np.asarray(
+                    fault.transform_displays(round_index, displays, generator)
+                )
+                if visible is not None:
+                    shown = shown[visible]
+                return int(np.count_nonzero(shown == symbol))
+
+            tracker = None
+            if cfg.correct_opinion is not None:
+                tracker = RecoveryTracker(
+                    fault.onset_round, fault.quasi_consensus_floor
+                )
+            return _Observation(
+                count,
+                cfg.n if visible is None else np.asarray(visible).size,
+                _uniform_delta(fault.effective_uniform_delta(self.delta)),
+                eval_mask,
+                tracker,
+            )
+        sampler = self._graph_sampler()
+        if sampler is not None:
+            sampler.ensure_bound(cfg.n, generator)
+            return _Observation(
+                lambda displays, round_index, symbol: (
+                    sampler.neighbor_symbol_counts(displays, symbol)
+                ),
+                sampler.degrees().astype(np.float64),
+                self.delta,
+                tags={"topology": sampler.kind},
+            )
+        return self._complete_observation()
+
+    # ------------------------------------------------------------------
+    # The two stages, over an optional leading replica axis
+    # ------------------------------------------------------------------
+    def _listen(
+        self, obs: _Observation, shape: tuple, generator: np.random.Generator
+    ) -> np.ndarray:
+        """Phases 0 and 1: the weak-opinion array of ``shape``.
 
         Counter1 counts 1s while sources display preferences and
-        non-sources display 0 (so ``k = s1``); Counter0 counts 0s while
-        non-sources display 1 (so ``k = s0``).
+        non-sources display 0; Counter0 counts 0s while non-sources
+        display 1 (sources keep their preference).
         """
-        generator = coerce_rng(rng)
         cfg, sched = self.config, self.schedule
         samples = sched.phase_rounds * sched.h
         keep = 1.0 - self.sample_loss
+        phase0 = np.zeros(cfg.n, dtype=np.int8)
+        phase0[cfg.s0 : cfg.num_sources] = 1
+        phase1 = np.ones(cfg.n, dtype=np.int8)
+        phase1[: cfg.s0] = 0
         # Fault injection (extension): each observation is independently
         # lost with probability sample_loss, so the count of counted
         # symbols among attempted samples is Binomial(samples, keep * q).
-        q1 = keep * observe_one_probability(cfg.s1, cfg.n, self.delta)
-        q0 = keep * observe_one_probability(cfg.s0, cfg.n, self.delta)
-        counter1 = generator.binomial(samples, q1, size=cfg.n)
-        counter0 = generator.binomial(samples, q0, size=cfg.n)
-        weak = (counter1 > counter0).astype(np.int8)
-        ties = counter1 == counter0
-        if ties.any():
-            weak[ties] = generator.integers(0, 2, size=int(ties.sum())).astype(np.int8)
-        return weak
+        q1 = keep * obs.q(phase0, 0, 1)
+        q0 = keep * obs.q(phase1, sched.phase_rounds, 0)
+        counter1 = generator.binomial(samples, q1, size=shape)
+        counter0 = generator.binomial(samples, q0, size=shape)
+        return majority_with_ties(counter1, counter0, generator)
+
+    def _boost(
+        self,
+        obs: _Observation,
+        opinions: np.ndarray,
+        window: int,
+        round_index: int,
+        generator: np.random.Generator,
+    ) -> np.ndarray:
+        """One majority sub-phase starting at ``round_index``."""
+        q = obs.q(opinions, round_index, 1)
+        if self.sample_loss > 0.0:
+            # Lost observations shrink each agent's window; the majority
+            # is over the messages actually received.
+            window = generator.binomial(
+                window, 1.0 - self.sample_loss, size=opinions.shape
+            )
+        counts = generator.binomial(window, q, size=opinions.shape)
+        return majority_with_ties(2 * counts, window, generator)
+
+    def draw_weak_opinions(self, rng: RngLike = None) -> np.ndarray:
+        """Draw the i.i.d. weak-opinion vector (end of Phase 1) on the
+        complete graph."""
+        return self._listen(
+            self._complete_observation(), (self.config.n,), coerce_rng(rng)
+        )
 
     def boost_step(
         self, opinions: np.ndarray, window: int, rng: RngLike = None
     ) -> np.ndarray:
-        """One majority sub-phase: everyone displays, gathers, takes majority."""
-        generator = coerce_rng(rng)
-        n = self.config.n
-        k = int(np.sum(opinions == 1))
-        q = observe_one_probability(k, n, self.delta)
-        if self.sample_loss > 0.0:
-            # Lost observations shrink each agent's window; the majority
-            # is over the messages actually received.
-            kept = generator.binomial(window, 1.0 - self.sample_loss, size=n)
-            counts = generator.binomial(kept, q)
-            new = np.where(2 * counts > kept, 1, 0).astype(np.int8)
-            ties = 2 * counts == kept
+        """One majority sub-phase on the complete graph: everyone
+        displays, gathers, takes majority."""
+        return self._boost(
+            self._complete_observation(), opinions, window, 0, coerce_rng(rng)
+        )
+
+    # ------------------------------------------------------------------
+    # The kernel
+    # ------------------------------------------------------------------
+    def _simulate(
+        self,
+        obs: _Observation,
+        generator: np.random.Generator,
+        tele: Telemetry,
+        seed: Optional[int],
+        replicas: Optional[int] = None,
+    ) -> List[SFRunResult]:
+        """Run Algorithm 1 once (``replicas=None``) or ``replicas`` times
+        along a leading axis; one :class:`SFRunResult` per run."""
+        cfg, sched = self.config, self.schedule
+        correct = cfg.correct_opinion
+        runs = 1 if replicas is None else replicas
+        shape = (cfg.n,) if replicas is None else (replicas, cfg.n)
+        tags = obs.tags if replicas is None else {**obs.tags, "replicas": replicas}
+        judged_n = cfg.n if obs.eval_mask is None else int(obs.eval_mask.sum())
+
+        def is_correct(opinions: np.ndarray) -> np.ndarray:
+            if obs.eval_mask is not None:
+                opinions = np.compress(obs.eval_mask, opinions, axis=-1)
+            return opinions == correct
+
+        def record(round_index, opinions, fraction, **phase) -> None:
+            if replicas is None:
+                fraction = float(fraction)
+                metrics = {
+                    "num_correct": int(round(fraction * judged_n)),
+                    "fraction_correct": fraction,
+                    "opinions": opinions,
+                }
+            else:
+                mean = float(np.mean(fraction))
+                metrics = {"replicas": replicas, "mean_fraction_correct": mean}
+            if obs.tracker is not None:
+                obs.tracker.observe(round_index, 1.0 - fraction)
+            if tele.enabled:
+                tele.round(round_index, **phase, **metrics)
+
+        with tele.phase("sf.phase01_weak", rounds=2 * sched.phase_rounds, **tags):
+            weak = self._listen(obs, shape, generator)
+        if correct is not None:
+            weak_fraction = np.mean(is_correct(weak), axis=-1)
         else:
-            counts = generator.binomial(window, q, size=n)
-            new = np.where(2 * counts > window, 1, 0).astype(np.int8)
-            ties = 2 * counts == window
-        if ties.any():
-            new[ties] = generator.integers(0, 2, size=int(ties.sum())).astype(np.int8)
-        return new
+            weak_fraction = np.full(shape[:-1], 0.5)
+        if tele.enabled:
+            tele.gauge("sf.weak_fraction_correct", float(np.mean(weak_fraction)))
+        record(2 * sched.phase_rounds - 1, weak, weak_fraction, phase="phase1")
+
+        steps = [
+            (sched.subphase_rounds, {"phase": "boosting", "subphase": index})
+            for index in range(sched.num_subphases)
+        ]
+        steps.append((sched.final_rounds, {"phase": "boosting_final"}))
+        opinions = weak.copy()
+        history: List[np.ndarray] = []
+        start = 2 * sched.phase_rounds
+        with tele.phase("sf.boosting", rounds=sched.boosting_rounds, **tags):
+            for rounds, phase in steps:
+                opinions = self._boost(
+                    obs, opinions, rounds * sched.h, start, generator
+                )
+                start += rounds
+                if correct is not None:
+                    fraction = np.mean(is_correct(opinions), axis=-1)
+                    history.append(fraction)
+                    record(start - 1, opinions, fraction, **phase)
+
+        if correct is not None:
+            converged = np.all(is_correct(opinions), axis=-1)
+        else:
+            converged = np.zeros(shape[:-1], dtype=bool)
+        if tele.enabled:
+            tele.counter("sf.runs", runs)
+            tele.counter("sf.converged_runs", int(np.count_nonzero(converged)))
+        if obs.tracker is not None:
+            obs.tracker.emit(tele)
+        traces = np.asarray(history, dtype=np.float64).reshape(-1, runs).T
+        return [
+            SFRunResult(
+                converged=bool(done),
+                total_rounds=sched.total_rounds,
+                weak_opinions=weak_row.copy(),
+                weak_fraction_correct=float(fraction),
+                final_opinions=final_row.copy(),
+                boost_trace=trace.tolist(),
+                seed=seed,
+            )
+            for done, weak_row, fraction, final_row, trace in zip(
+                np.reshape(converged, -1),
+                weak.reshape(runs, -1),
+                np.reshape(weak_fraction, -1),
+                opinions.reshape(runs, -1),
+                traces,
+            )
+        ]
 
     def run(
         self, rng: RngLike = None, telemetry: Optional[Telemetry] = None
@@ -227,447 +462,14 @@ class FastSourceFilter:
         ``round`` event per boosting sub-phase, indexed by the last model
         round the sub-phase occupies.  Within a sub-phase no displayed
         message changes, so these events determine the opinion counts of
-        *every* model round, not just the sampled ones.
-        """
-        if self.fault_model is not None and not self.fault_model.is_null:
-            return self._run_faulted(rng, telemetry)
-        if self.topology is not None:
-            from ..topology import create_topology
-
-            sampler = create_topology(self.topology)
-            if not sampler.is_uniform:
-                return self._run_structured(sampler, rng, telemetry)
-        generator = coerce_rng(rng)
-        tele = ensure_telemetry(telemetry)
-        cfg, sched = self.config, self.schedule
-        correct = cfg.correct_opinion
-        with tele.phase("sf.phase01_weak", rounds=2 * sched.phase_rounds):
-            weak = self.draw_weak_opinions(generator)
-        weak_fraction = float(np.mean(weak == correct)) if correct is not None else 0.5
-        if tele.enabled:
-            tele.gauge("sf.weak_fraction_correct", weak_fraction)
-            tele.round(
-                2 * sched.phase_rounds - 1,
-                phase="phase1",
-                num_correct=int(round(weak_fraction * cfg.n)),
-                fraction_correct=weak_fraction,
-                opinions=weak,
-            )
-
-        opinions = weak.copy()
-        trace: List[float] = []
-        short_window = sched.subphase_rounds * sched.h
-        with tele.phase("sf.boosting", rounds=sched.boosting_rounds):
-            for index in range(sched.num_subphases):
-                opinions = self.boost_step(opinions, short_window, generator)
-                if correct is not None:
-                    fraction = float(np.mean(opinions == correct))
-                    trace.append(fraction)
-                    if tele.enabled:
-                        tele.round(
-                            2 * sched.phase_rounds
-                            + (index + 1) * sched.subphase_rounds
-                            - 1,
-                            phase="boosting",
-                            subphase=index,
-                            num_correct=int(round(fraction * cfg.n)),
-                            fraction_correct=fraction,
-                            opinions=opinions,
-                        )
-            final_window = sched.final_rounds * sched.h
-            opinions = self.boost_step(opinions, final_window, generator)
-            if correct is not None:
-                fraction = float(np.mean(opinions == correct))
-                trace.append(fraction)
-                if tele.enabled:
-                    tele.round(
-                        sched.total_rounds - 1,
-                        phase="boosting_final",
-                        num_correct=int(round(fraction * cfg.n)),
-                        fraction_correct=fraction,
-                        opinions=opinions,
-                    )
-
-        converged = correct is not None and bool(np.all(opinions == correct))
-        if tele.enabled:
-            tele.counter("sf.runs")
-            if converged:
-                tele.counter("sf.converged_runs")
-        return SFRunResult(
-            converged=converged,
-            total_rounds=sched.total_rounds,
-            weak_opinions=weak,
-            weak_fraction_correct=weak_fraction,
-            final_opinions=opinions,
-            boost_trace=trace,
-            seed=seed_of(rng),
-        )
-
-    # ------------------------------------------------------------------
-    # Faulted path
-    # ------------------------------------------------------------------
-    def _run_faulted(
-        self, rng: RngLike = None, telemetry: Optional[Telemetry] = None
-    ) -> SFRunResult:
-        """The :meth:`run` semantics under a non-null fault model.
-
-        Still phase-exact: faults supported here are time-invariant with
-        deterministic displays, so within every phase the (transformed)
-        display vector is constant and per-agent tallies remain the
-        exact Binomial law — only ``k`` (symbol counts over the
-        *visible* agents) and ``delta`` (the true channel level under
-        misspecification) change.  Convergence is judged over the fault
-        model's evaluation mask, and recovery metrics are emitted as
-        ``faults.*`` telemetry.
-        """
-        from ..model.population import Population
-
-        generator = coerce_rng(rng)
-        tele = ensure_telemetry(telemetry)
-        cfg, sched = self.config, self.schedule
-        fault = self.fault_model
-        population = Population(cfg, shuffle=False)
-        fault.reset(population, 2, generator)
-        if not fault.deterministic_displays:
-            raise ConfigurationError(
-                "the fast SF engine needs deterministic fault displays "
-                "(within-phase constancy is its exactness argument); use "
-                "PullEngine for randomized display faults"
-            )
-        if any(r < sched.total_rounds for r in fault.transition_rounds()):
-            raise ConfigurationError(
-                "the fast SF engine simulates whole phases in one draw and "
-                "supports only time-invariant fault models; use PullEngine "
-                "or the fast SSF engine for scheduled crash/recovery faults"
-            )
-        delta = _uniform_delta(fault.effective_uniform_delta(self.delta))
-        n = cfg.n
-        visible = fault.visible_agents(0)
-        vis = np.arange(n) if visible is None else np.asarray(visible)
-        vis_n = vis.size
-        eval_mask = fault.evaluation_mask()
-        if eval_mask is not None and not eval_mask.any():
-            raise ConfigurationError(
-                "fault model excludes every agent from evaluation"
-            )
-        correct = cfg.correct_opinion
-
-        def visible_count(displays: np.ndarray, round_index: int, symbol: int) -> int:
-            transformed = fault.transform_displays(
-                round_index, displays, generator
-            )
-            return int(np.sum(np.asarray(transformed)[vis] == symbol))
-
-        def judged_fraction(opinions: np.ndarray) -> float:
-            judged = opinions if eval_mask is None else opinions[eval_mask]
-            return float(np.mean(judged == correct))
-
-        tracker = None
-        if correct is not None:
-            from ..faults.metrics import RecoveryTracker
-
-            tracker = RecoveryTracker(
-                fault.onset_round, fault.quasi_consensus_floor
-            )
-
-        samples = sched.phase_rounds * sched.h
-        keep = 1.0 - self.sample_loss
-        with tele.phase("sf.phase01_weak", rounds=2 * sched.phase_rounds):
-            # Phase 0 honest displays: sources show their preference,
-            # non-sources show 0 (the fast engine is positional).
-            phase0 = np.zeros(n, dtype=np.int8)
-            phase0[cfg.s0 : cfg.num_sources] = 1
-            k1 = visible_count(phase0, 0, 1)
-            # Phase 1: non-sources show 1, sources keep their preference.
-            phase1 = np.ones(n, dtype=np.int8)
-            phase1[: cfg.s0] = 0
-            k0 = visible_count(phase1, sched.phase_rounds, 0)
-            q1 = keep * observe_one_probability(k1, vis_n, delta)
-            q0 = keep * observe_one_probability(k0, vis_n, delta)
-            counter1 = generator.binomial(samples, q1, size=n)
-            counter0 = generator.binomial(samples, q0, size=n)
-            weak = (counter1 > counter0).astype(np.int8)
-            ties = counter1 == counter0
-            if ties.any():
-                weak[ties] = generator.integers(
-                    0, 2, size=int(ties.sum())
-                ).astype(np.int8)
-        weak_fraction = judged_fraction(weak) if correct is not None else 0.5
-        if tracker is not None:
-            tracker.observe(2 * sched.phase_rounds - 1, 1.0 - weak_fraction)
-        if tele.enabled:
-            tele.gauge("sf.weak_fraction_correct", weak_fraction)
-            tele.round(
-                2 * sched.phase_rounds - 1,
-                phase="phase1",
-                fraction_correct=weak_fraction,
-                opinions=weak,
-            )
-
-        def boost(opinions: np.ndarray, window: int, round_index: int) -> np.ndarray:
-            k = visible_count(opinions, round_index, 1)
-            q = observe_one_probability(k, vis_n, delta)
-            if self.sample_loss > 0.0:
-                kept = generator.binomial(window, keep, size=n)
-                counts = generator.binomial(kept, q)
-                new = np.where(2 * counts > kept, 1, 0).astype(np.int8)
-                ties = 2 * counts == kept
-            else:
-                counts = generator.binomial(window, q, size=n)
-                new = np.where(2 * counts > window, 1, 0).astype(np.int8)
-                ties = 2 * counts == window
-            if ties.any():
-                new[ties] = generator.integers(
-                    0, 2, size=int(ties.sum())
-                ).astype(np.int8)
-            return new
-
-        opinions = weak.copy()
-        trace: List[float] = []
-        short_window = sched.subphase_rounds * sched.h
-        with tele.phase("sf.boosting", rounds=sched.boosting_rounds):
-            for index in range(sched.num_subphases):
-                round_index = 2 * sched.phase_rounds + index * sched.subphase_rounds
-                opinions = boost(opinions, short_window, round_index)
-                if correct is not None:
-                    fraction = judged_fraction(opinions)
-                    trace.append(fraction)
-                    last_round = (
-                        2 * sched.phase_rounds
-                        + (index + 1) * sched.subphase_rounds
-                        - 1
-                    )
-                    tracker.observe(last_round, 1.0 - fraction)
-                    if tele.enabled:
-                        tele.round(
-                            last_round,
-                            phase="boosting",
-                            subphase=index,
-                            fraction_correct=fraction,
-                            opinions=opinions,
-                        )
-            final_window = sched.final_rounds * sched.h
-            opinions = boost(
-                opinions, final_window, sched.total_rounds - sched.final_rounds
-            )
-            if correct is not None:
-                fraction = judged_fraction(opinions)
-                trace.append(fraction)
-                tracker.observe(sched.total_rounds - 1, 1.0 - fraction)
-                if tele.enabled:
-                    tele.round(
-                        sched.total_rounds - 1,
-                        phase="boosting_final",
-                        fraction_correct=fraction,
-                        opinions=opinions,
-                    )
-
-        if correct is not None:
-            judged = opinions if eval_mask is None else opinions[eval_mask]
-            converged = bool(np.all(judged == correct))
-        else:
-            converged = False
-        if tele.enabled:
-            tele.counter("sf.runs")
-            if converged:
-                tele.counter("sf.converged_runs")
-        if tracker is not None:
-            tracker.emit(tele)
-        return SFRunResult(
-            converged=converged,
-            total_rounds=sched.total_rounds,
-            weak_opinions=weak,
-            weak_fraction_correct=weak_fraction,
-            final_opinions=opinions,
-            boost_trace=trace,
-            seed=seed_of(rng),
-        )
-
-    # ------------------------------------------------------------------
-    # Topology-structured path
-    # ------------------------------------------------------------------
-    def _run_structured(
-        self,
-        sampler,
-        rng: RngLike = None,
-        telemetry: Optional[Telemetry] = None,
-    ) -> SFRunResult:
-        """The :meth:`run` semantics on a static graph topology.
-
-        Still phase-exact: on a fixed graph each agent's looks land
-        uniformly on its own neighborhood, so within a phase its tally
-        of the counted symbol is ``Binomial(rounds * h, q_i)`` with
-        ``q_i = (k_i/deg_i)(1-delta) + (1-k_i/deg_i)delta`` and ``k_i``
-        the number of *neighbors* displaying that symbol — the uniform
-        law with the global count replaced by a per-agent neighbor
-        count (numpy's vector-``p`` binomial draws each agent exactly).
-
-        Like :meth:`_run_faulted`, the engine is positional: agents
-        ``0..s0-1`` are the 0-preferring sources and ``s0..s-1`` the
-        1-preferring ones, occupying whatever graph nodes carry those
-        labels (random families label nodes randomly, so this is a
-        uniformly random placement).  A string/unbound spec realizes a
-        fresh graph from the run generator every run; a pre-bound
-        sampler pins one quenched graph across runs.
+        *every* model round, not just the sampled ones.  Under a fault
+        model the fractions are over the judged agents and recovery
+        metrics are emitted as ``faults.*`` telemetry.
         """
         generator = coerce_rng(rng)
         tele = ensure_telemetry(telemetry)
-        cfg, sched = self.config, self.schedule
-        sampler.ensure_bound(cfg.n, generator)
-        n = cfg.n
-        correct = cfg.correct_opinion
-        delta = self.delta
-        keep = 1.0 - self.sample_loss
-        degrees = sampler.degrees().astype(np.float64)
-
-        def q_vector(neighbor_counts: np.ndarray) -> np.ndarray:
-            frac = neighbor_counts / degrees
-            return keep * (frac * (1.0 - delta) + (1.0 - frac) * delta)
-
-        def coin_ties(values: np.ndarray, ties: np.ndarray) -> np.ndarray:
-            if ties.any():
-                values[ties] = generator.integers(
-                    0, 2, size=int(ties.sum())
-                ).astype(np.int8)
-            return values
-
-        samples = sched.phase_rounds * sched.h
-        with tele.phase(
-            "sf.phase01_weak", rounds=2 * sched.phase_rounds, topology=sampler.kind
-        ):
-            # Phase 0: sources display their preference, non-sources 0.
-            phase0 = np.zeros(n, dtype=np.int8)
-            phase0[cfg.s0 : cfg.num_sources] = 1
-            q1 = q_vector(sampler.neighbor_symbol_counts(phase0, 1))
-            # Phase 1: non-sources display 1, sources keep preferences.
-            phase1 = np.ones(n, dtype=np.int8)
-            phase1[: cfg.s0] = 0
-            q0 = q_vector(sampler.neighbor_symbol_counts(phase1, 0))
-            counter1 = generator.binomial(samples, q1)
-            counter0 = generator.binomial(samples, q0)
-            weak = (counter1 > counter0).astype(np.int8)
-            weak = coin_ties(weak, counter1 == counter0)
-        weak_fraction = (
-            float(np.mean(weak == correct)) if correct is not None else 0.5
-        )
-        if tele.enabled:
-            tele.gauge("sf.weak_fraction_correct", weak_fraction)
-            tele.round(
-                2 * sched.phase_rounds - 1,
-                phase="phase1",
-                fraction_correct=weak_fraction,
-                opinions=weak,
-            )
-
-        def boost(opinions: np.ndarray, window: int) -> np.ndarray:
-            q = q_vector(sampler.neighbor_symbol_counts(opinions, 1))
-            if self.sample_loss > 0.0:
-                kept = generator.binomial(window, keep, size=n)
-                counts = generator.binomial(kept, q)
-                new = np.where(2 * counts > kept, 1, 0).astype(np.int8)
-                ties = 2 * counts == kept
-            else:
-                counts = generator.binomial(window, q)
-                new = np.where(2 * counts > window, 1, 0).astype(np.int8)
-                ties = 2 * counts == window
-            return coin_ties(new, ties)
-
-        opinions = weak.copy()
-        trace: List[float] = []
-        short_window = sched.subphase_rounds * sched.h
-        with tele.phase(
-            "sf.boosting", rounds=sched.boosting_rounds, topology=sampler.kind
-        ):
-            for index in range(sched.num_subphases):
-                opinions = boost(opinions, short_window)
-                if correct is not None:
-                    fraction = float(np.mean(opinions == correct))
-                    trace.append(fraction)
-                    if tele.enabled:
-                        tele.round(
-                            2 * sched.phase_rounds
-                            + (index + 1) * sched.subphase_rounds
-                            - 1,
-                            phase="boosting",
-                            subphase=index,
-                            fraction_correct=fraction,
-                            opinions=opinions,
-                        )
-            opinions = boost(opinions, sched.final_rounds * sched.h)
-            if correct is not None:
-                fraction = float(np.mean(opinions == correct))
-                trace.append(fraction)
-                if tele.enabled:
-                    tele.round(
-                        sched.total_rounds - 1,
-                        phase="boosting_final",
-                        fraction_correct=fraction,
-                        opinions=opinions,
-                    )
-
-        converged = correct is not None and bool(np.all(opinions == correct))
-        if tele.enabled:
-            tele.counter("sf.runs")
-            if converged:
-                tele.counter("sf.converged_runs")
-        return SFRunResult(
-            converged=converged,
-            total_rounds=sched.total_rounds,
-            weak_opinions=weak,
-            weak_fraction_correct=weak_fraction,
-            final_opinions=opinions,
-            boost_trace=trace,
-            seed=seed_of(rng),
-        )
-
-    # ------------------------------------------------------------------
-    # Replica batching
-    # ------------------------------------------------------------------
-    def _draw_weak_opinions_batch(
-        self, replicas: int, generator: np.random.Generator
-    ) -> np.ndarray:
-        """The ``(R, n)`` analogue of :meth:`draw_weak_opinions`."""
-        cfg, sched = self.config, self.schedule
-        samples = sched.phase_rounds * sched.h
-        keep = 1.0 - self.sample_loss
-        q1 = keep * observe_one_probability(cfg.s1, cfg.n, self.delta)
-        q0 = keep * observe_one_probability(cfg.s0, cfg.n, self.delta)
-        counter1 = generator.binomial(samples, q1, size=(replicas, cfg.n))
-        counter0 = generator.binomial(samples, q0, size=(replicas, cfg.n))
-        weak = (counter1 > counter0).astype(np.int8)
-        ties = counter1 == counter0
-        if ties.any():
-            weak[ties] = generator.integers(0, 2, size=int(ties.sum())).astype(np.int8)
-        return weak
-
-    def _boost_step_batch(
-        self, opinions: np.ndarray, window: int, generator: np.random.Generator
-    ) -> np.ndarray:
-        """One majority sub-phase across all replicas at once.
-
-        The per-replica observation probability ``q`` broadcasts down the
-        agent axis, so the whole batch is two binomial draws regardless
-        of R — the same exactness argument as :meth:`boost_step`, applied
-        per replica.
-        """
-        n = self.config.n
-        k = (opinions == 1).sum(axis=1)  # (R,)
-        frac = k / n
-        q = frac * (1.0 - self.delta) + (1.0 - frac) * self.delta  # (R,)
-        if self.sample_loss > 0.0:
-            kept = generator.binomial(
-                window, 1.0 - self.sample_loss, size=opinions.shape
-            )
-            counts = generator.binomial(kept, q[:, None])
-            new = (2 * counts > kept).astype(np.int8)
-            ties = 2 * counts == kept
-        else:
-            counts = generator.binomial(window, q[:, None], size=opinions.shape)
-            new = (2 * counts > window).astype(np.int8)
-            ties = 2 * counts == window
-        if ties.any():
-            new[ties] = generator.integers(0, 2, size=int(ties.sum())).astype(np.int8)
-        return new
+        obs = self._observation(generator)
+        return self._simulate(obs, generator, tele, seed_of(rng))[0]
 
     def run_batch(
         self,
@@ -692,90 +494,21 @@ class FastSourceFilter:
             raise ConfigurationError(
                 f"replicas must be a positive int, got {replicas}"
             )
-        if self.fault_model is not None and not self.fault_model.is_null:
+        if self._active_fault() is not None:
             raise ConfigurationError(
                 "run_batch does not support fault models; call run() per "
                 "replica (or use BatchedPullEngine)"
             )
-        if self.topology is not None:
-            from ..topology import create_topology
-
-            if not create_topology(self.topology).is_uniform:
-                from ..exceptions import UnsupportedFeatureError
-
-                raise UnsupportedFeatureError(
-                    "run_batch does not support graph topologies; call "
-                    "run() per replica (each realizes its own graph) or "
-                    "use BatchedPullEngine with topology="
-                )
-        generator = coerce_rng(rng)
-        tele = ensure_telemetry(telemetry)
-        cfg, sched = self.config, self.schedule
-        correct = cfg.correct_opinion
-
-        with tele.phase(
-            "sf.phase01_weak", rounds=2 * sched.phase_rounds, replicas=replicas
-        ):
-            weak = self._draw_weak_opinions_batch(replicas, generator)
-        if correct is not None:
-            weak_fraction = np.mean(weak == correct, axis=1)
-        else:
-            weak_fraction = np.full(replicas, 0.5)
-        if tele.enabled:
-            tele.gauge(
-                "sf.weak_fraction_correct", float(np.mean(weak_fraction))
+        if self._graph_sampler() is not None:
+            raise UnsupportedFeatureError(
+                "run_batch does not support graph topologies; call "
+                "run() per replica (each realizes its own graph) or "
+                "use BatchedPullEngine with topology="
             )
-            tele.round(
-                2 * sched.phase_rounds - 1,
-                phase="phase1",
-                replicas=replicas,
-                mean_fraction_correct=float(np.mean(weak_fraction)),
-            )
-
-        opinions = weak.copy()
-        traces: List[List[float]] = [[] for _ in range(replicas)]
-        short_window = sched.subphase_rounds * sched.h
-        windows = [short_window] * sched.num_subphases + [sched.final_rounds * sched.h]
-        with tele.phase(
-            "sf.boosting", rounds=sched.boosting_rounds, replicas=replicas
-        ):
-            for index, window in enumerate(windows):
-                opinions = self._boost_step_batch(opinions, window, generator)
-                if correct is not None:
-                    fractions = np.mean(opinions == correct, axis=1)
-                    for r in range(replicas):
-                        traces[r].append(float(fractions[r]))
-                    if tele.enabled:
-                        is_final = index == sched.num_subphases
-                        tele.round(
-                            sched.total_rounds - 1
-                            if is_final
-                            else 2 * sched.phase_rounds
-                            + (index + 1) * sched.subphase_rounds
-                            - 1,
-                            phase="boosting_final" if is_final else "boosting",
-                            replicas=replicas,
-                            mean_fraction_correct=float(np.mean(fractions)),
-                        )
-
-        converged = (
-            np.all(opinions == correct, axis=1)
-            if correct is not None
-            else np.zeros(replicas, dtype=bool)
+        return self._simulate(
+            self._complete_observation(),
+            coerce_rng(rng),
+            ensure_telemetry(telemetry),
+            seed_of(rng),
+            replicas,
         )
-        if tele.enabled:
-            tele.counter("sf.runs", replicas)
-            tele.counter("sf.converged_runs", int(np.count_nonzero(converged)))
-        seed = seed_of(rng)
-        return [
-            SFRunResult(
-                converged=bool(converged[r]),
-                total_rounds=sched.total_rounds,
-                weak_opinions=weak[r].copy(),
-                weak_fraction_correct=float(weak_fraction[r]),
-                final_opinions=opinions[r].copy(),
-                boost_trace=traces[r],
-                seed=seed,
-            )
-            for r in range(replicas)
-        ]

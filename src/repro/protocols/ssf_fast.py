@@ -207,39 +207,31 @@ class FastSelfStabilizingSourceFilter:
         self._initialized = True
 
     # ------------------------------------------------------------------
-    def _observation_distribution(self) -> np.ndarray:
-        """q = delta + (display_counts/n) * (1 - 4*delta), per symbol."""
-        cfg = self.config
-        n = cfg.n
-        num_sources = cfg.num_sources
-        weak_nonsource = self.weak[num_sources:]
-        counts = np.zeros(4, dtype=float)
-        counts[SYMBOL_SOURCE_0] = cfg.s0
-        counts[SYMBOL_SOURCE_1] = cfg.s1
-        ones = int(np.sum(weak_nonsource == 1))
-        counts[SYMBOL_NONSOURCE_1] = ones
-        counts[0] = (n - num_sources) - ones
-        return self.delta + (counts / n) * (1.0 - 4.0 * self.delta)
-
-    def _faulted_observation_distribution(
-        self, fault, round_index: int, delta: float
+    def _observation_distribution(
+        self, round_index: int = 0, delta: Optional[float] = None, fault=None
     ) -> np.ndarray:
-        """Faulted analogue of :meth:`_observation_distribution`.
+        """q = delta + (display_counts/pool) * (1 - 4*delta), per symbol.
 
-        Materializes the honest positional display vector, routes it
-        through the fault model's display transform, restricts to the
-        samplable agents, and tallies — still exact, because displays
-        are constant within a gap (deterministic faults, gaps capped at
-        transition rounds)."""
+        Tallies the honest positional display vector (``delta`` defaults
+        to the engine's level).  Under an active ``fault`` model the
+        vector first goes through the model's display transform and is
+        restricted to the samplable agents — still exact, because
+        displays are constant within a gap (deterministic faults, gaps
+        capped at transition rounds)."""
         cfg = self.config
+        if delta is None:
+            delta = self.delta
         disp = np.empty(cfg.n, dtype=np.int64)
         disp[: cfg.s0] = SYMBOL_SOURCE_0
         disp[cfg.s0 : cfg.num_sources] = SYMBOL_SOURCE_1
         disp[cfg.num_sources :] = self.weak[cfg.num_sources :]
-        disp = np.asarray(fault.transform_displays(round_index, disp, self._rng))
-        visible = fault.visible_agents(round_index)
-        if visible is not None:
-            disp = disp[visible]
+        if fault is not None:
+            disp = np.asarray(
+                fault.transform_displays(round_index, disp, self._rng)
+            )
+            visible = fault.visible_agents(round_index)
+            if visible is not None:
+                disp = disp[visible]
         counts = np.bincount(disp, minlength=4).astype(float)
         return delta + (counts / disp.size) * (1.0 - 4.0 * delta)
 
@@ -313,13 +305,14 @@ class FastSelfStabilizingSourceFilter:
         patience_rounds = consensus_epochs * sched.epoch_rounds
 
         fault = self.fault_model
-        fault_active = fault is not None and not fault.is_null
+        if fault is not None and fault.is_null:
+            fault = None
         eval_mask = None
         n_eval = self.config.n
         delta = self.delta
         tracker = None
         transitions: tuple = ()
-        if fault_active:
+        if fault is not None:
             from ..model.population import Population as _Population
 
             fault.reset(_Population(self.config, shuffle=False), 4, generator)
@@ -358,17 +351,14 @@ class FastSelfStabilizingSourceFilter:
             ).astype(np.int64)
             gap = int(rounds_to_due.min())
             gap = min(gap, max_rounds - t)
-            if fault_active:
-                # Never let one batch straddle a fault transition: within
-                # the capped gap the transformed displays are constant, so
-                # the multinomial tallies stay exact.
-                for boundary in transitions:
-                    if t < boundary:
-                        gap = min(gap, boundary - t)
-                        break
-                q = self._faulted_observation_distribution(fault, t, delta)
-            else:
-                q = self._observation_distribution()
+            # Never let one batch straddle a fault transition: within the
+            # capped gap the transformed displays are constant, so the
+            # multinomial tallies stay exact.
+            for boundary in transitions:
+                if t < boundary:
+                    gap = min(gap, boundary - t)
+                    break
+            q = self._observation_distribution(t, delta, fault)
             if self.sample_loss > 0.0:
                 # Fault injection: each observation is lost independently.
                 # Thinning a multinomial thins each category binomially,

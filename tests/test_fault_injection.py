@@ -6,7 +6,9 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.model.config import PopulationConfig
 from repro.protocols import FastSourceFilter
+from repro.topology import RandomRegularTopology
 from repro.types import SourceCounts
+from repro.verify import FalsePositiveBudget, assert_success_probability
 
 
 def config(n=512, s1=1, h=None):
@@ -45,6 +47,31 @@ class TestSampleLoss:
              for s in range(30)]
         )
         assert 0.5 < lossy_mean < clean_mean
+
+    @pytest.mark.statistical
+    @pytest.mark.parametrize("topology", ["complete-graph", "explicit-graph"])
+    def test_loss_applied_once_on_every_observation_model(self, topology):
+        """Half the observations lost still converges, whether the
+        complete graph runs as the uniform model or as an explicit
+        (n-1)-regular graph through the per-agent model: both thin each
+        window once."""
+        n = 400
+        graph = RandomRegularTopology(degree=n - 1)
+        engine = FastSourceFilter(
+            config(n=n, s1=3),
+            0.1,
+            sample_loss=0.5,
+            topology=graph if topology == "explicit-graph" else None,
+        )
+        trials = 20
+        successes = sum(engine.run(rng=seed).converged for seed in range(trials))
+        assert_success_probability(
+            successes,
+            trials,
+            claimed_lower_bound=0.9,
+            context=f"SF convergence at sample_loss=0.5 ({topology})",
+            budget=FalsePositiveBudget(total=1e-5, strict=True),
+        )
 
     def test_ssf_converges_under_loss(self):
         """SSF's update clock slows under loss (buffers fill late) but

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import repeat_trials
+from repro.faults import CrashFault
 from repro.model import Population, PopulationConfig, PullEngine
 from repro.noise import NoiseMatrix
 from repro.protocols import FastSourceFilter, SFSchedule, SourceFilterProtocol
@@ -43,6 +44,22 @@ def _population(n=40, h=2, seed=0):
 def _engine(population=None):
     population = population or _population()
     return PullEngine(population, NoiseMatrix.uniform(0.2, 2))
+
+
+#: The fast-SF observation models every single-run path goes through.
+_FAST_SF_PATHS = ["complete", "faulted", "graph"]
+
+
+def _fast_sf(path):
+    population = _population(n=64, h=4)
+    kwargs = {
+        "complete": {},
+        "faulted": {"fault_model": CrashFault(count=4, mode="exclude")},
+        "graph": {"topology": "regular"},
+    }[path]
+    return FastSourceFilter(
+        population.config, 0.2, _schedule(population), **kwargs
+    )
 
 
 def _schedule(population):
@@ -273,6 +290,51 @@ class TestRngNeutrality:
         assert off.weak_fraction_correct == on.weak_fraction_correct
         assert np.array_equal(off.final_opinions, on.final_opinions)
         assert off.boost_trace == on.boost_trace
+
+    @pytest.mark.parametrize("path", _FAST_SF_PATHS)
+    def test_fast_sf_telemetry_shape(self, path):
+        """Every single-run path emits the same timers and round tags,
+        and its report is bit-identical with telemetry off."""
+
+        class Collector(TelemetrySink):
+            def __init__(self):
+                self.events = []
+
+            def handle(self, event):
+                self.events.append(event)
+
+        collector = Collector()
+        on = _fast_sf(path).run(rng=9, telemetry=Telemetry([collector]))
+        off = _fast_sf(path).run(rng=9)
+        assert on.weak_fraction_correct == off.weak_fraction_correct
+        assert np.array_equal(on.weak_opinions, off.weak_opinions)
+        assert np.array_equal(on.final_opinions, off.final_opinions)
+        assert on.boost_trace == off.boost_trace
+        timers = {e.name for e in collector.events if e.kind == "phase"}
+        assert timers == {"sf.phase01_weak", "sf.boosting"}
+        scalars = {"phase", "num_correct", "fraction_correct", "opinions"}
+        expected = {
+            "phase1": scalars,
+            "boosting": scalars | {"subphase"},
+            "boosting_final": scalars,
+        }
+        # Crash-stopped agents are not judged; num_correct counts the rest.
+        judged = 60 if path == "faulted" else 64
+        rounds = [e for e in collector.events if e.kind == "round"]
+        assert {e.tags["phase"] for e in rounds} == set(expected)
+        for event in rounds:
+            assert set(event.tags) == expected[event.tags["phase"]]
+            assert event.tags["opinions"].shape == (64,)
+            assert event.tags["num_correct"] == round(
+                event.tags["fraction_correct"] * judged
+            )
+
+    def test_fast_sf_batch_round_tags(self):
+        sink = MemorySink()
+        _fast_sf("complete").run_batch(2, rng=9, telemetry=Telemetry([sink]))
+        for event in sink.events_of("round"):
+            assert {"phase", "replicas", "mean_fraction_correct"} <= set(event.tags)
+            assert event.tags["replicas"] == 2
 
     def test_fast_sf_phase_vocabulary(self):
         population = _population(n=64, h=4)
