@@ -1,7 +1,8 @@
 """PERF — adaptive adversary search: SPRT savings + search throughput.
 
-Two measurements land in ``BENCH_adversary_search.json`` (see conftest),
-gated by ``benchmarks/check_regression.py``:
+Two measurements land in ``BENCH_adversary_search.json`` via
+``conftest.record``, gated by the record's row in
+``benchmarks/check_regression.py``:
 
 * **sprt_trial_savings** — the point of SPRT-gating every candidate:
   sequential trials actually spent screening a mixed benign/damaging
@@ -28,7 +29,7 @@ from repro.adversary_search import (
 from repro.model.config import PopulationConfig
 from repro.types import SourceCounts
 
-from .conftest import emit_table, record_adversary_search
+from .conftest import emit_table, record
 
 CONFIG = PopulationConfig(n=96, sources=SourceCounts(0, 4), h=6)
 SETTINGS = SearchSettings(
@@ -73,7 +74,7 @@ def test_perf_sprt_trial_savings():
         "sequential_trials": sequential,
         "savings_ratio": round(fixed / sequential, 2),
     }
-    record_adversary_search(case)
+    record("adversary_search", case)
     print(
         f"\n  SPRT screen: {sequential} trials vs {fixed} fixed "
         f"({case['savings_ratio']}x savings over {len(pool)} candidates)"
@@ -105,7 +106,7 @@ def test_perf_search_throughput():
         "evals_per_sec": round(evaluations / wall, 2),
         "trials_per_sec": round(trials / wall, 1),
     }
-    record_adversary_search(case)
+    record("adversary_search", case)
     emit_table(
         frontier.rows(),
         title=(

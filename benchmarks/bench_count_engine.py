@@ -4,8 +4,8 @@ The tentpole measurement behind :mod:`repro.model.count_engine`: a full
 SF execution collapses to O(num_subphases) arithmetic regardless of
 ``n``, so n = 10^8 runs in the same milliseconds as n = 10^3 and with
 O(|Sigma|) memory.  Four measurements land in
-``BENCH_count_engine.json`` (see conftest) and are gated by
-``benchmarks/check_regression.py``:
+``BENCH_count_engine.json`` via ``conftest.record`` and are gated by
+the record's row in ``benchmarks/check_regression.py``:
 
 * full count-SF runs across n in {10^3, 10^4, 10^6, 10^8}, with
   ``tracemalloc`` peaks proving the memory claim;
@@ -37,7 +37,7 @@ from repro.protocols import (
 )
 from repro.types import SourceCounts
 
-from .conftest import record_count_engine
+from .conftest import record
 
 DELTA = 0.2
 
@@ -62,7 +62,8 @@ def test_perf_count_sf_full_run(n):
 
     assert result.converged
     rounds = result.rounds_executed
-    record_count_engine(
+    record(
+        "count_engine",
         {
             "case": "count_sf_full_run",
             "n": n,
@@ -109,7 +110,8 @@ def test_perf_count_vs_batched_per_round():
     count_per_round = (time.perf_counter() - start) / result.rounds_executed
 
     speedup = batched_per_round / count_per_round
-    record_count_engine(
+    record(
+        "count_engine",
         {
             "case": "count_vs_batched_per_round",
             "n": n_large,
@@ -145,7 +147,8 @@ def test_perf_count_vs_fast_full_run():
     count_s = time.perf_counter() - start
 
     assert fast_result.converged and count_result.converged
-    record_count_engine(
+    record(
+        "count_engine",
         {
             "case": "count_vs_fast_full_run",
             "n": n,
@@ -185,7 +188,8 @@ def test_perf_count_alphabet_dependence(label, alphabet):
             result.rounds_executed // protocol.schedule.epoch_rounds, 1
         )
     per_transition = elapsed / transitions
-    record_count_engine(
+    record(
+        "count_engine",
         {
             "case": "count_alphabet_dependence",
             "protocol": label,
@@ -212,7 +216,8 @@ def test_perf_mean_field_full_run(n):
     result = MeanFieldEngine(config, DELTA).run()
     elapsed = time.perf_counter() - start
     assert result.converged
-    record_count_engine(
+    record(
+        "count_engine",
         {
             "case": "mean_field_full_run",
             "n": n,

@@ -6,7 +6,8 @@ exact engine amortizes the per-round dispatch overhead over R replicas,
 and the vectorized engines cost O(n) per *phase*.  These
 micro-benchmarks record all tiers so regressions in the hot paths are
 caught; the batched-vs-serial comparisons are additionally written to
-``BENCH_engine_throughput.json`` at the repo root (see conftest).
+``BENCH_engine_throughput.json`` at the repo root via ``conftest.record``
+and gated by the record's row in ``benchmarks/check_regression.py``.
 """
 
 import time
@@ -26,7 +27,7 @@ from repro.protocols import (
 )
 from repro.types import SourceCounts
 
-from .conftest import record_engine_throughput
+from .conftest import record
 
 
 @pytest.mark.parametrize("n,h", [(256, 4), (1024, 16)])
@@ -148,7 +149,8 @@ def test_perf_batched_vs_serial_sweep(n, h, mode):
             assert np.array_equal(s.final_opinions, b.final_opinions)
 
     speedup = serial_s / batched_s
-    record_engine_throughput(
+    record(
+        "engine_throughput",
         {
             "case": "batched_vs_serial",
             "n": n,
@@ -194,7 +196,8 @@ def test_perf_trial_runner_workers(workers):
     elapsed = time.perf_counter() - start
 
     assert stats.trials == 8
-    record_engine_throughput(
+    record(
+        "engine_throughput",
         {
             "case": "trial_runner",
             "workers": workers or 1,
@@ -220,7 +223,8 @@ def test_perf_run_trials_batch_backend():
     serial_s = time.perf_counter() - start
 
     assert batched.trials == serial.trials == 64
-    record_engine_throughput(
+    record(
+        "engine_throughput",
         {
             "case": "run_trials_fast_sf",
             "n": 512,

@@ -3,8 +3,9 @@
 Boots a real 64-peer localhost UDP cluster (the ``net`` engine backend)
 on a truncated SF schedule and measures how fast the round barrier
 turns: full PULL rounds per second and data-plane datagrams per second.
-Lands in ``BENCH_net_roundtrip.json`` (see conftest), gated by
-``benchmarks/check_regression.py`` (rounds/sec floor at 64 peers).
+Lands in ``BENCH_net_roundtrip.json`` via ``conftest.record``, gated by
+the record's row in ``benchmarks/check_regression.py`` (rounds/sec
+floor at 64 peers).
 
 A full round here is 64 peers each pulling ``h = 8`` samples — request
 and response datagrams through the noisy link — plus the coordinator's
@@ -23,7 +24,7 @@ from repro import PopulationConfig, SourceCounts
 from repro.net import ClusterRunner
 from repro.protocols import SFSchedule
 
-from .conftest import record_net_roundtrip
+from .conftest import record
 
 PEERS = 64
 
@@ -62,7 +63,7 @@ def test_perf_cluster_roundtrip(cluster_setup):
         "rounds_per_sec": round(rounds / wall, 2),
         "datagrams_per_sec": round(datagrams / wall, 1),
     }
-    record_net_roundtrip(case)
+    record("net_roundtrip", case)
     print(
         f"\n  {PEERS}-peer cluster: {case['rounds_per_sec']} rounds/s, "
         f"{case['datagrams_per_sec']} datagrams/s over {trials} runs"

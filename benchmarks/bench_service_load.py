@@ -2,7 +2,8 @@
 
 Drives a live in-process :class:`repro.service.ServiceThread` over real
 HTTP sockets and lands three measurements in ``BENCH_service_load.json``
-(see conftest), gated by ``benchmarks/check_regression.py``:
+via ``conftest.record``, gated by the record's row in
+``benchmarks/check_regression.py``:
 
 * ``health_throughput`` — sequential ``GET /health`` round-trips:
   requests/sec plus p50/p99 latency.  The floor guards the asyncio
@@ -28,7 +29,7 @@ import pytest
 
 from repro.service import ServiceClient, ServiceThread
 
-from .conftest import record_service_load
+from .conftest import record
 
 RUN_REQUEST = {
     "engine": "serial",
@@ -79,7 +80,7 @@ def test_perf_health_throughput(service):
         "p50_ms": round(_percentile(samples, 0.50) * 1e3, 3),
         "p99_ms": round(_percentile(samples, 0.99) * 1e3, 3),
     }
-    record_service_load(case)
+    record("service_load", case)
     print(
         f"\n  GET /health: {case['requests_per_sec']} req/s "
         f"(p50 {case['p50_ms']} ms, p99 {case['p99_ms']} ms)"
@@ -109,7 +110,7 @@ def test_perf_cache_hit_speedup(service):
         "hit_p99_ms": round(_percentile(hits, 0.99) * 1e3, 3),
         "speedup": round(cold_seconds / hit_median, 1),
     }
-    record_service_load(case)
+    record("service_load", case)
     print(
         f"\n  cache hit: cold {cold_seconds * 1e3:.1f} ms -> hit p50 "
         f"{case['hit_p50_ms']} ms ({case['speedup']}x)"
@@ -142,7 +143,7 @@ def test_perf_concurrent_runs(service):
         "p50_ms": round(_percentile(samples, 0.50) * 1e3, 2),
         "p99_ms": round(_percentile(samples, 0.99) * 1e3, 2),
     }
-    record_service_load(case)
+    record("service_load", case)
     print(
         f"\n  concurrent runs: {case['requests_per_sec']} req/s over "
         f"{workers} clients (p99 {case['p99_ms']} ms)"

@@ -14,8 +14,11 @@ Two guarantees back the telemetry layer:
   the results are bit-identical either way (asserted here and in
   ``tests/test_telemetry.py``).
 
-Measurements land in ``BENCH_telemetry_overhead.json`` at the repo root,
-alongside ``BENCH_engine_throughput.json`` (see conftest).
+Measurements land in ``BENCH_telemetry_overhead.json`` at the repo root
+via ``conftest.record``; the record's row in
+``benchmarks/check_regression.py`` gates ``overhead_pct`` at
+:data:`OVERHEAD_LIMIT_PCT` and goes stale when the telemetry package or
+the batched engine changes.
 """
 
 import time
@@ -29,7 +32,7 @@ from repro.protocols import BatchedSourceFilter, SFSchedule
 from repro.telemetry import AggregatingSink, Telemetry
 from repro.types import SourceCounts
 
-from .conftest import record_telemetry_overhead
+from .conftest import record
 
 REPLICAS = 64
 ROUNDS = 60
@@ -132,7 +135,8 @@ def test_perf_disabled_telemetry_overhead():
     disabled_s = _best_of(instrumented_disabled)
     overhead_pct = 100.0 * (disabled_s - reference_s) / reference_s
 
-    record_telemetry_overhead(
+    record(
+        "telemetry_overhead",
         {
             "case": "batched_engine_disabled",
             "n": config.n,
@@ -187,7 +191,8 @@ def test_perf_enabled_telemetry_cost_and_neutrality():
     on_s = _best_of(
         lambda: run(telemetry=Telemetry([AggregatingSink()])), reps=3
     )
-    record_telemetry_overhead(
+    record(
+        "telemetry_overhead",
         {
             "case": "batched_engine_enabled",
             "n": config.n,

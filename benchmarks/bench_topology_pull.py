@@ -1,7 +1,8 @@
 """PERF — topology-structured PULL(h): sampler throughput + EXT4 record.
 
-Two measurements land in ``BENCH_topology_pull.json`` (see conftest),
-gated by ``benchmarks/check_regression.py``:
+Two measurements land in ``BENCH_topology_pull.json`` via
+``conftest.record``, gated by the record's row in
+``benchmarks/check_regression.py``:
 
 * **sampler_throughput** — raw CSR neighbor-sampling speed per graph
   family at n = 4096, h = 8: full-population ``sample()`` calls per
@@ -23,7 +24,7 @@ import pytest
 
 from repro.topology import create_topology
 
-from .conftest import emit_table, record_topology_pull
+from .conftest import emit_table, record
 
 N = 4096
 H = 8
@@ -56,7 +57,7 @@ def test_perf_sampler_throughput(family):
         "seconds": round(wall, 4),
         "samples_per_sec": round(rounds * N * H / wall, 1),
     }
-    record_topology_pull(case)
+    record("topology_pull", case)
     print(
         f"\n  {family}: {case['samples_per_sec']:.3g} samples/s "
         f"({rounds} rounds at n={N}, h={H})"
@@ -83,7 +84,7 @@ def test_perf_sf_vs_hybrid():
         entry[f"{row['protocol']}_success"] = row["success"]
         entry[f"{row['protocol']}_mean_rounds"] = row["mean_rounds"]
     for case in by_family.values():
-        record_topology_pull(case)
+        record("topology_pull", case)
     for check in outcome.checks:
         mark = "PASS" if check.passed else "FAIL"
         print(f"  [{mark}] {check.name}  ({check.detail})")

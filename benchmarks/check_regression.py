@@ -1,25 +1,24 @@
 """Benchmark regression gate: thresholds + staleness for BENCH_*.json.
 
-The repo commits machine-readable benchmark records at its root
-(``BENCH_engine_throughput.json``, ``BENCH_count_engine.json``,
-``BENCH_service_load.json``, ``BENCH_net_roundtrip.json``,
-``BENCH_topology_pull.json``).  This module is the CI gate over them:
+The repo commits machine-readable benchmark records at its root, one
+``BENCH_<name>.json`` per row of :data:`RECORDS`.  Each row says which
+module regenerates the record (``benchmarks/bench_<name>.py``), which
+source files it measures, and which claims its numbers must keep
+backing.  This module is the CI gate over them:
 
-* **Thresholds** — the committed numbers must back the performance
-  claims the docs make: the batched exact engine is never slower than
-  the serial loop at n = 1024 (a regression fixed once and kept fixed),
-  and the count-level engine is at least 10x the batched exact engine's
-  extrapolated per-round cost at n = 10^6 (in practice it is >10^3x).
-  The run service's content-addressed cache must serve a hit at least
-  10x faster than cold recomputation, and the HTTP front-end must
-  sustain a floor of ``GET /health`` requests per second.  The
-  networked deployment must keep a 64-peer cluster progressing at a
-  floor of full PULL rounds per second.
-* **Staleness** — each record stores a digest of the engine source
-  files that produced it.  When those sources change, the digest stops
-  matching and the gate fails until the benchmarks are re-run and the
-  refreshed JSONs committed — numbers in the repo can never silently
-  describe an engine that no longer exists.
+* **Thresholds** — each :class:`Gate` holds the picked cases of a
+  record to a bound, so the docs' performance claims stay measured:
+  the batched exact engine is never slower than the serial loop at
+  n = 1024, the count-level engine keeps its per-round margin at
+  n = 10^6, the run service's cache pays for itself, and so on.
+* **Staleness** — each record stores a digest of its row's source set.
+  When one of those files changes, the digest stops matching and the
+  gate fails until that record is re-measured and committed — numbers
+  in the repo can never silently describe code that no longer exists.
+
+Every record is checked in one run; a missing, unreadable or stale
+record fails with one line naming the file and its refresh command.
+``benchmarks/conftest.py`` writes the records from the same table.
 
 Run it directly::
 
@@ -30,15 +29,68 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import pathlib
 import sys
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+
+from .bench_telemetry_overhead import OVERHEAD_LIMIT_PCT
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
-#: Source files whose behavior the benchmark records measure.  Editing
-#: any of these invalidates the committed BENCH_*.json records.
-ENGINE_SOURCES = [
+#: Selector value matching any case whose field is present and not null.
+PRESENT = object()
+
+_COMPARE = {">=": operator.ge, "<=": operator.le}
+
+
+class Gate(NamedTuple):
+    """One claim a record's numbers must keep backing.
+
+    ``select`` picks the gated cases by field value (:data:`PRESENT`
+    matches any non-null value).  ``metric`` names a per-case field, or
+    ``"distinct:<field>"`` to count that field's distinct values over
+    all picked cases.  Every measured value must satisfy
+    ``value <compare> bound``; ``reason`` is the claim a failure breaks.
+    """
+
+    select: Mapping[str, object]
+    metric: str
+    compare: str
+    bound: float
+    reason: str
+
+
+@dataclass(frozen=True)
+class Record:
+    """One committed ``BENCH_<name>.json`` and what it must satisfy.
+
+    ``sources`` lists repo-relative paths and globs (a glob contributes
+    its sorted matches, so a new module under it invalidates the record
+    without a table edit); editing any of them makes the record stale.
+    """
+
+    name: str
+    sources: Tuple[str, ...]
+    gates: Tuple[Gate, ...]
+
+    @property
+    def filename(self) -> str:
+        return f"BENCH_{self.name}.json"
+
+    @property
+    def refresh(self) -> str:
+        """The command that regenerates this record."""
+        return (
+            f"PYTHONPATH=src python -m pytest benchmarks/bench_{self.name}.py "
+            f"-q --benchmark-disable"
+        )
+
+
+#: Engine sources measured by the engine-throughput and count-engine
+#: records.
+ENGINE_SOURCES = (
     "src/repro/model/engine.py",
     "src/repro/model/batched_engine.py",
     "src/repro/model/count_engine.py",
@@ -49,457 +101,207 @@ ENGINE_SOURCES = [
     "src/repro/protocols/ssf_count.py",
     "src/repro/theory/tails.py",
     "src/repro/analysis/mean_field.py",
-]
+)
 
-#: Source files whose behavior the service-load record measures —
-#: the HTTP front-end, cache, job ledger, and the registry seam the
-#: service routes every run through.
-SERVICE_SOURCES = [
-    "src/repro/service/server.py",
-    "src/repro/service/cache.py",
-    "src/repro/service/jobs.py",
-    "src/repro/service/client.py",
-    "src/repro/engines.py",
-]
-
-#: Source files whose behavior the net-roundtrip record measures — the
-#: whole networked-deployment package, globbed so a new module under
-#: src/repro/net/ invalidates the record without a list edit here.
-def _net_sources() -> List[str]:
-    return sorted(
-        str(path.relative_to(REPO_ROOT))
-        for path in (REPO_ROOT / "src" / "repro" / "net").glob("*.py")
+RECORDS: Dict[str, Record] = {
+    record.name: record
+    for record in (
+        Record("engine_throughput", ENGINE_SOURCES, (
+            # A regression fixed once and kept fixed.
+            Gate({"case": "batched_vs_serial", "n": 1024}, "speedup", ">=",
+                 1.0, "the batched engine is never slower than the serial "
+                 "loop"),
+        )),
+        Record("count_engine", ENGINE_SOURCES, (
+            # Batched cost extrapolated from n = 10^4; in practice >10^3x.
+            Gate({"case": "count_vs_batched_per_round", "n": 1_000_000},
+                 "speedup", ">=", 10.0, "the count-level hot path keeps "
+                 "its asymptotic advantage over the batched engine"),
+            Gate({"case": "count_sf_full_run", "n": 100_000_000},
+                 "peak_bytes", "<=", 64 * 1024 * 1024, "the count engine "
+                 "is O(|Sigma|) in memory"),
+        )),
+        # The HTTP front-end, cache, job ledger, and the registry seam the
+        # service routes every run through.
+        Record("service_load", (
+            "src/repro/service/server.py",
+            "src/repro/service/cache.py",
+            "src/repro/service/jobs.py",
+            "src/repro/service/client.py",
+            "src/repro/engines.py",
+        ), (
+            Gate({"case": "run_cache_hit"}, "speedup", ">=", 10.0,
+                 "a cache hit beats cold recomputation by 10x"),
+            Gate({"case": "health_throughput"}, "requests_per_sec", ">=",
+                 25.0, "the front-end's fixed per-request cost stays low"),
+        )),
+        Record("net_roundtrip", ("src/repro/net/*.py",), (
+            # A full PULL round is 64 peers x h samples, request/response
+            # datagrams + barrier.  Measured ~15 rounds/s on a dev box;
+            # 1.0 keeps the gate robust to slow CI.
+            Gate({"case": "cluster_roundtrip", "peers": 64},
+                 "rounds_per_sec", ">=", 1.0, "the UDP round barrier keeps "
+                 "a 64-peer cluster progressing"),
+        )),
+        Record("topology_pull", (
+            "src/repro/topology/*.py",
+            "src/repro/model/structured.py",
+        ), (
+            # The vectorized gather measures ~1e7 samples/s on a dev box;
+            # 1e5 still catches a fallback to Python loops.
+            Gate({"case": "sampler_throughput"}, "samples_per_sec", ">=",
+                 1e5, "graph sampling stays on the vectorized gather path"),
+            Gate({"case": "sf_vs_hybrid", "sf_success": PRESENT,
+                  "hybrid_success": PRESENT}, "distinct:family", ">=", 3,
+                 "the EXT4 comparison covers at least three graph "
+                 "families"),
+        )),
+        # The search package plus the sequential-testing module its SPRT
+        # savings claim depends on.
+        Record("adversary_search", (
+            "src/repro/adversary_search/*.py",
+            "src/repro/analysis/sequential.py",
+        ), (
+            # Measured ~2-3x; 1.3 keeps the gate robust to unlucky draws.
+            Gate({"case": "sprt_trial_savings"}, "savings_ratio", ">=", 1.3,
+                 "SPRT screening beats fixed-size testing on the mixed "
+                 "candidate pool"),
+            # Measured hundreds/s on a dev box; lenient for slow CI.
+            Gate({"case": "search_throughput"}, "evals_per_sec", ">=", 1.0,
+                 "the search stays on the vectorized engine path"),
+        )),
+        Record("telemetry_overhead", (
+            "src/repro/telemetry/*.py",
+            "src/repro/model/batched_engine.py",
+        ), (
+            Gate({"case": "batched_engine_disabled"}, "overhead_pct", "<=",
+                 OVERHEAD_LIMIT_PCT, "disabled telemetry is near-free on "
+                 "the batched engine"),
+        )),
     )
-
-
-#: Source files whose behavior the topology-pull record measures — the
-#: whole topology package plus the graph builders, globbed so a new
-#: sampler module invalidates the record without a list edit here.
-def _topology_sources() -> List[str]:
-    globbed = sorted(
-        str(path.relative_to(REPO_ROOT))
-        for path in (REPO_ROOT / "src" / "repro" / "topology").glob("*.py")
-    )
-    return globbed + ["src/repro/model/structured.py"]
-
-
-#: Source files whose behavior the adversary-search record measures —
-#: the whole search package plus the sequential-testing module its
-#: SPRT savings claim depends on, globbed so a new module under
-#: src/repro/adversary_search/ invalidates the record without an edit.
-def _adversary_sources() -> List[str]:
-    globbed = sorted(
-        str(path.relative_to(REPO_ROOT))
-        for path in (
-            REPO_ROOT / "src" / "repro" / "adversary_search"
-        ).glob("*.py")
-    )
-    return globbed + ["src/repro/analysis/sequential.py"]
-
-
-ENGINE_THROUGHPUT_JSON = REPO_ROOT / "BENCH_engine_throughput.json"
-COUNT_ENGINE_JSON = REPO_ROOT / "BENCH_count_engine.json"
-SERVICE_LOAD_JSON = REPO_ROOT / "BENCH_service_load.json"
-NET_ROUNDTRIP_JSON = REPO_ROOT / "BENCH_net_roundtrip.json"
-TOPOLOGY_PULL_JSON = REPO_ROOT / "BENCH_topology_pull.json"
-ADVERSARY_SEARCH_JSON = REPO_ROOT / "BENCH_adversary_search.json"
-
-#: Gate thresholds (see module docstring).
-MIN_BATCHED_SPEEDUP_N1024 = 1.0
-MIN_COUNT_VS_BATCHED_N1E6 = 10.0
-#: A cache hit must beat cold recomputation by at least this factor.
-MIN_CACHE_HIT_SPEEDUP = 10.0
-#: Floor on the service's fixed per-request overhead (GET /health).
-MIN_HEALTH_RPS = 25.0
-#: Floor on 64-peer cluster progress: a full PULL round (64 peers x h
-#: samples, request/response datagrams + barrier) per second.  Measured
-#: ~15 rounds/s on a dev box; 1.0 keeps the gate robust to slow CI.
-MIN_NET_ROUNDS_PER_SEC = 1.0
-#: Floor on CSR neighbor sampling at n=4096, h=8.  The vectorized
-#: gather measures ~1e7 samples/s on a dev box; 1e5 keeps the gate
-#: robust to slow CI while still catching a fallback to Python loops.
-MIN_TOPOLOGY_SAMPLES_PER_SEC = 1e5
-#: The EXT4 record must compare SF and hybrid on at least this many
-#: graph families for the docs' topology-frontier claim to be measured.
-MIN_TOPOLOGY_FAMILIES = 3
-#: SPRT-gated candidate screening must beat fixed-size testing by at
-#: least this factor on the benchmark's mixed benign/damaging pool
-#: (measured ~2-3x; 1.3 keeps the gate robust to unlucky trial draws).
-MIN_SPRT_TRIAL_SAVINGS = 1.3
-#: Floor on end-to-end adversary-search evaluations per second —
-#: lenient for slow CI, but catches a fallback off the vectorized
-#: engines (measured hundreds/s on a dev box).
-MIN_ADVERSARY_EVALS_PER_SEC = 1.0
-
-
-def engine_sources_digest() -> str:
-    """Stable digest of the engine sources (content, not mtimes)."""
-    hasher = hashlib.sha256()
-    for relative in ENGINE_SOURCES:
-        path = REPO_ROOT / relative
-        hasher.update(relative.encode())
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes() if path.exists() else b"<missing>")
-        hasher.update(b"\0")
-    return hasher.hexdigest()
-
-
-def service_sources_digest() -> str:
-    """Stable digest of the service sources (content, not mtimes)."""
-    hasher = hashlib.sha256()
-    for relative in SERVICE_SOURCES:
-        path = REPO_ROOT / relative
-        hasher.update(relative.encode())
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes() if path.exists() else b"<missing>")
-        hasher.update(b"\0")
-    return hasher.hexdigest()
-
-
-def net_sources_digest() -> str:
-    """Stable digest of src/repro/net/*.py (content, not mtimes)."""
-    hasher = hashlib.sha256()
-    for relative in _net_sources():
-        path = REPO_ROOT / relative
-        hasher.update(relative.encode())
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes())
-        hasher.update(b"\0")
-    return hasher.hexdigest()
-
-
-def topology_sources_digest() -> str:
-    """Stable digest of the topology sources (content, not mtimes)."""
-    hasher = hashlib.sha256()
-    for relative in _topology_sources():
-        path = REPO_ROOT / relative
-        hasher.update(relative.encode())
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes() if path.exists() else b"<missing>")
-        hasher.update(b"\0")
-    return hasher.hexdigest()
-
-
-def adversary_sources_digest() -> str:
-    """Stable digest of the adversary-search sources (content)."""
-    hasher = hashlib.sha256()
-    for relative in _adversary_sources():
-        path = REPO_ROOT / relative
-        hasher.update(relative.encode())
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes() if path.exists() else b"<missing>")
-        hasher.update(b"\0")
-    return hasher.hexdigest()
-
-
-#: Which benchmark module regenerates each committed record.
-_BENCH_FOR = {
-    "BENCH_engine_throughput.json": "bench_engine_throughput.py",
-    "BENCH_count_engine.json": "bench_count_engine.py",
-    "BENCH_service_load.json": "bench_service_load.py",
-    "BENCH_net_roundtrip.json": "bench_net_roundtrip.py",
-    "BENCH_topology_pull.json": "bench_topology_pull.py",
-    "BENCH_adversary_search.json": "bench_adversary_search.py",
 }
 
 
-def _load(path: pathlib.Path) -> Dict[str, object]:
-    if not path.exists():
-        bench = _BENCH_FOR.get(path.name, "the benchmarks")
-        raise AssertionError(
-            f"{path.name} is missing — run the benchmark "
-            f"(PYTHONPATH=src python -m pytest benchmarks/{bench} "
-            f"-q --benchmark-disable) and commit the refreshed record"
+def source_files(sources: Sequence[str]) -> List[str]:
+    """Expand a source set in order; each glob gives its sorted matches."""
+    files: List[str] = []
+    for pattern in sources:
+        if any(char in pattern for char in "*?["):
+            files.extend(sorted(
+                str(path.relative_to(REPO_ROOT))
+                for path in REPO_ROOT.glob(pattern)
+            ))
+        else:
+            files.append(pattern)
+    return files
+
+
+def sources_digest(sources: Sequence[str]) -> str:
+    """Stable digest of a source set (content, not mtimes)."""
+    hasher = hashlib.sha256()
+    for relative in source_files(sources):
+        path = REPO_ROOT / relative
+        hasher.update(relative.encode())
+        hasher.update(b"\0")
+        hasher.update(path.read_bytes() if path.exists() else b"<missing>")
+        hasher.update(b"\0")
+    return hasher.hexdigest()
+
+
+def selected(gate: Gate, cases: Sequence[Mapping[str, object]]) -> list:
+    """The cases ``gate`` picks out of a record."""
+    return [
+        case
+        for case in cases
+        if all(
+            case.get(field) is not None if value is PRESENT
+            else case.get(field) == value
+            for field, value in gate.select.items()
         )
-    return json.loads(path.read_text())
+    ]
 
 
-def _check_staleness(
-    payload: Dict[str, object],
-    name: str,
-    errors: List[str],
-    digest_fn=engine_sources_digest,
-):
-    recorded = payload.get("sources_digest")
-    current = digest_fn()
-    if recorded is None:
+def _describe(select: Mapping[str, object], case: Mapping[str, object]):
+    """A case's kind plus its selector fields and string-valued fields."""
+    fields = [
+        f"{field}={value}"
+        for field, value in case.items()
+        if field != "case" and (field in select or isinstance(value, str))
+    ]
+    return " ".join([str(case.get("case"))] + fields)
+
+
+def _measurements(gate: Gate, cases) -> List[Tuple[str, object]]:
+    """``(label, value)`` pairs that ``gate`` holds to its bound."""
+    picked = selected(gate, cases)
+    if gate.metric.startswith("distinct:") and picked:
+        field = gate.metric.split(":", 1)[1]
+        values = sorted({str(case.get(field)) for case in picked})
+        return [(f"{gate.select['case']} over {field} {values}", len(values))]
+    return [(_describe(gate.select, case), case.get(gate.metric))
+            for case in picked]
+
+
+def check_record(
+    record: Record, records_dir: pathlib.Path = REPO_ROOT, verbose=True
+) -> List[str]:
+    """Check one record's file, digest and gates; return its failures."""
+    refresh = f"refresh with `{record.refresh}` and commit the record"
+    try:
+        payload = json.loads((records_dir / record.filename).read_text())
+    except FileNotFoundError:
+        return [f"{record.filename}: missing — {refresh}"]
+    except ValueError as exc:
+        return [f"{record.filename}: unreadable JSON ({exc}) — {refresh}"]
+
+    errors = []
+    recorded = str(payload.get("sources_digest"))
+    current = sources_digest(record.sources)
+    if recorded != current:
         errors.append(
-            f"{name}: no sources_digest recorded — re-run the benchmarks "
-            f"so the record is tied to the engine sources"
+            f"{record.filename}: stale — its sources "
+            f"({', '.join(record.sources)}) changed since it was measured "
+            f"(digest {recorded[:12]}… != {current[:12]}…); {refresh}"
         )
-    elif recorded != current:
-        errors.append(
-            f"{name}: stale — engine sources changed since this record "
-            f"was measured (digest {recorded[:12]}… != {current[:12]}…); "
-            f"re-run the benchmarks and commit the refreshed JSON"
-        )
+    for gate in record.gates:
+        measured = _measurements(gate, payload.get("cases", []))
+        if not measured:
+            selector = " ".join(
+                f"{field}={'*' if value is PRESENT else value}"
+                for field, value in gate.select.items()
+            )
+            errors.append(
+                f"{record.filename}: no case with {selector} — "
+                f"unmeasured claim: {gate.reason}"
+            )
+        for label, value in measured:
+            if value is None or not _COMPARE[gate.compare](
+                float(value), gate.bound
+            ):
+                errors.append(
+                    f"{record.filename}: {label}: {gate.metric} {value} "
+                    f"not {gate.compare} {gate.bound:g} — broken claim: "
+                    f"{gate.reason}"
+                )
+            elif verbose:
+                print(
+                    f"  PASS  {record.filename}: {label}: {gate.metric} "
+                    f"{float(value):.4g} {gate.compare} {gate.bound:g}"
+                )
+    return errors
 
 
-def check(verbose: bool = True) -> List[str]:
-    """Run every gate; return the list of failures (empty = pass)."""
+def check(records_dir: pathlib.Path = REPO_ROOT, verbose=True) -> List[str]:
+    """Run every record's gates; return the list of failures (empty = pass)."""
     errors: List[str] = []
-
-    throughput = _load(ENGINE_THROUGHPUT_JSON)
-    _check_staleness(throughput, ENGINE_THROUGHPUT_JSON.name, errors)
-    n1024 = [
-        case
-        for case in throughput.get("cases", [])
-        if case.get("case") == "batched_vs_serial" and case.get("n") == 1024
-    ]
-    if not n1024:
-        errors.append(
-            f"{ENGINE_THROUGHPUT_JSON.name}: no batched_vs_serial case at "
-            f"n=1024 — the regression that motivated the gate is unmeasured"
-        )
-    for case in n1024:
-        speedup = float(case.get("speedup", 0.0))
-        label = f"batched vs serial n=1024 (mode={case.get('rng_mode')})"
-        if speedup < MIN_BATCHED_SPEEDUP_N1024:
-            errors.append(
-                f"{label}: speedup {speedup:.2f} < "
-                f"{MIN_BATCHED_SPEEDUP_N1024} — the batched engine "
-                f"regressed below the serial loop again"
-            )
-        elif verbose:
-            print(f"  PASS  {label}: speedup {speedup:.2f}x")
-
-    count = _load(COUNT_ENGINE_JSON)
-    _check_staleness(count, COUNT_ENGINE_JSON.name, errors)
-    vs_batched = [
-        case
-        for case in count.get("cases", [])
-        if case.get("case") == "count_vs_batched_per_round"
-        and case.get("n") == 1_000_000
-    ]
-    if not vs_batched:
-        errors.append(
-            f"{COUNT_ENGINE_JSON.name}: no count_vs_batched_per_round "
-            f"case at n=1e6 — the tentpole speedup claim is unmeasured"
-        )
-    for case in vs_batched:
-        ratio = float(case.get("speedup", 0.0))
-        if ratio < MIN_COUNT_VS_BATCHED_N1E6:
-            errors.append(
-                f"count vs batched per-round at n=1e6: {ratio:.1f}x < "
-                f"{MIN_COUNT_VS_BATCHED_N1E6}x — the count-level hot "
-                f"path lost its asymptotic advantage"
-            )
-        elif verbose:
-            print(
-                f"  PASS  count vs batched per-round n=1e6: {ratio:.1f}x"
-            )
-
-    large = [
-        case
-        for case in count.get("cases", [])
-        if case.get("case") == "count_sf_full_run"
-        and case.get("n") == 100_000_000
-    ]
-    if not large:
-        errors.append(
-            f"{COUNT_ENGINE_JSON.name}: no count_sf_full_run case at "
-            f"n=1e8 — the O(|Sigma|) memory/scale claim is unmeasured"
-        )
-    for case in large:
-        peak = int(case.get("peak_bytes", 1 << 62))
-        if peak > 64 * 1024 * 1024:
-            errors.append(
-                f"count SF at n=1e8 allocated {peak / 1e6:.1f} MB — the "
-                f"engine is no longer O(|Sigma|) in memory"
-            )
-        elif verbose:
-            print(
-                f"  PASS  count SF n=1e8: {case.get('seconds')}s, "
-                f"peak {peak / 1e6:.2f} MB"
-            )
-
-    service = _load(SERVICE_LOAD_JSON)
-    _check_staleness(
-        service, SERVICE_LOAD_JSON.name, errors,
-        digest_fn=service_sources_digest,
-    )
-    hit_cases = [
-        case
-        for case in service.get("cases", [])
-        if case.get("case") == "run_cache_hit"
-    ]
-    if not hit_cases:
-        errors.append(
-            f"{SERVICE_LOAD_JSON.name}: no run_cache_hit case — the "
-            f"content-addressed cache claim is unmeasured"
-        )
-    for case in hit_cases:
-        speedup = float(case.get("speedup", 0.0))
-        if speedup < MIN_CACHE_HIT_SPEEDUP:
-            errors.append(
-                f"service cache hit: {speedup:.1f}x < "
-                f"{MIN_CACHE_HIT_SPEEDUP}x over cold recomputation — the "
-                f"cache no longer pays for itself"
-            )
-        elif verbose:
-            print(
-                f"  PASS  service cache hit: {speedup:.1f}x vs cold run "
-                f"(hit p99 {case.get('hit_p99_ms')} ms)"
-            )
-    health_cases = [
-        case
-        for case in service.get("cases", [])
-        if case.get("case") == "health_throughput"
-    ]
-    if not health_cases:
-        errors.append(
-            f"{SERVICE_LOAD_JSON.name}: no health_throughput case — the "
-            f"per-request overhead is unmeasured"
-        )
-    for case in health_cases:
-        rps = float(case.get("requests_per_sec", 0.0))
-        if rps < MIN_HEALTH_RPS:
-            errors.append(
-                f"service GET /health: {rps:.1f} req/s < {MIN_HEALTH_RPS} "
-                f"— the front-end's fixed per-request cost regressed"
-            )
-        elif verbose:
-            print(
-                f"  PASS  service GET /health: {rps:.1f} req/s "
-                f"(p99 {case.get('p99_ms')} ms)"
-            )
-
-    net = _load(NET_ROUNDTRIP_JSON)
-    _check_staleness(
-        net, NET_ROUNDTRIP_JSON.name, errors, digest_fn=net_sources_digest
-    )
-    roundtrip_cases = [
-        case
-        for case in net.get("cases", [])
-        if case.get("case") == "cluster_roundtrip" and case.get("peers") == 64
-    ]
-    if not roundtrip_cases:
-        errors.append(
-            f"{NET_ROUNDTRIP_JSON.name}: no cluster_roundtrip case at "
-            f"64 peers — the deployment's round throughput is unmeasured"
-        )
-    for case in roundtrip_cases:
-        rps = float(case.get("rounds_per_sec", 0.0))
-        if rps < MIN_NET_ROUNDS_PER_SEC:
-            errors.append(
-                f"net cluster round-trip (64 peers): {rps:.2f} rounds/s < "
-                f"{MIN_NET_ROUNDS_PER_SEC} — the UDP round barrier "
-                f"regressed"
-            )
-        elif verbose:
-            print(
-                f"  PASS  net cluster 64 peers: {rps:.1f} rounds/s "
-                f"({case.get('datagrams_per_sec')} datagrams/s)"
-            )
-
-    topology = _load(TOPOLOGY_PULL_JSON)
-    _check_staleness(
-        topology, TOPOLOGY_PULL_JSON.name, errors,
-        digest_fn=topology_sources_digest,
-    )
-    sampler_cases = [
-        case
-        for case in topology.get("cases", [])
-        if case.get("case") == "sampler_throughput"
-    ]
-    if not sampler_cases:
-        errors.append(
-            f"{TOPOLOGY_PULL_JSON.name}: no sampler_throughput case — "
-            f"the CSR neighbor-sampling hot path is unmeasured"
-        )
-    for case in sampler_cases:
-        rate = float(case.get("samples_per_sec", 0.0))
-        label = f"topology sampler ({case.get('family')}, n={case.get('n')})"
-        if rate < MIN_TOPOLOGY_SAMPLES_PER_SEC:
-            errors.append(
-                f"{label}: {rate:.3g} samples/s < "
-                f"{MIN_TOPOLOGY_SAMPLES_PER_SEC:.0e} — graph sampling "
-                f"regressed off the vectorized gather path"
-            )
-        elif verbose:
-            print(f"  PASS  {label}: {rate:.3g} samples/s")
-    comparison_families = {
-        case.get("family")
-        for case in topology.get("cases", [])
-        if case.get("case") == "sf_vs_hybrid"
-        and case.get("sf_success") is not None
-        and case.get("hybrid_success") is not None
-    }
-    if len(comparison_families) < MIN_TOPOLOGY_FAMILIES:
-        errors.append(
-            f"{TOPOLOGY_PULL_JSON.name}: sf_vs_hybrid covers only "
-            f"{sorted(comparison_families)} — the EXT4 comparison needs "
-            f"at least {MIN_TOPOLOGY_FAMILIES} graph families"
-        )
-    elif verbose:
-        print(
-            f"  PASS  sf_vs_hybrid compared on "
-            f"{len(comparison_families)} families: "
-            f"{sorted(comparison_families)}"
-        )
-
-    adversary = _load(ADVERSARY_SEARCH_JSON)
-    _check_staleness(
-        adversary, ADVERSARY_SEARCH_JSON.name, errors,
-        digest_fn=adversary_sources_digest,
-    )
-    savings_cases = [
-        case
-        for case in adversary.get("cases", [])
-        if case.get("case") == "sprt_trial_savings"
-    ]
-    if not savings_cases:
-        errors.append(
-            f"{ADVERSARY_SEARCH_JSON.name}: no sprt_trial_savings case — "
-            f"the SPRT-gated screening claim is unmeasured"
-        )
-    for case in savings_cases:
-        ratio = float(case.get("savings_ratio", 0.0))
-        if ratio < MIN_SPRT_TRIAL_SAVINGS:
-            errors.append(
-                f"adversary SPRT screening: {ratio:.2f}x < "
-                f"{MIN_SPRT_TRIAL_SAVINGS}x savings over fixed-size "
-                f"testing — sequential early stopping regressed"
-            )
-        elif verbose:
-            print(
-                f"  PASS  adversary SPRT screening: {ratio:.2f}x trial "
-                f"savings ({case.get('sequential_trials')} vs "
-                f"{case.get('fixed_trials')} fixed)"
-            )
-    throughput_cases = [
-        case
-        for case in adversary.get("cases", [])
-        if case.get("case") == "search_throughput"
-    ]
-    if not throughput_cases:
-        errors.append(
-            f"{ADVERSARY_SEARCH_JSON.name}: no search_throughput case — "
-            f"the end-to-end search cost is unmeasured"
-        )
-    for case in throughput_cases:
-        rate = float(case.get("evals_per_sec", 0.0))
-        if rate < MIN_ADVERSARY_EVALS_PER_SEC:
-            errors.append(
-                f"adversary search throughput: {rate:.2f} evaluations/s "
-                f"< {MIN_ADVERSARY_EVALS_PER_SEC} — the search fell off "
-                f"the vectorized engine path"
-            )
-        elif verbose:
-            print(
-                f"  PASS  adversary search: {rate:.1f} evaluations/s "
-                f"({case.get('trials')} trials in {case.get('seconds')}s)"
-            )
-
+    for record in RECORDS.values():
+        errors.extend(check_record(record, records_dir, verbose))
     return errors
 
 
 def main() -> int:
     print("benchmark regression gate")
-    try:
-        errors = check()
-    except AssertionError as exc:
-        errors = [str(exc)]
+    errors = check()
     for error in errors:
         print(f"  FAIL  {error}")
     print("gate: " + ("FAIL" if errors else "PASS"))

@@ -4,7 +4,9 @@ Every benchmark regenerates one experiment from DESIGN.md's index: it
 prints a paper-prediction vs measured table (visible with ``pytest -s``,
 and always written as CSV under ``benchmarks/results/``) and asserts the
 paper's *shape* claim — scaling exponent, ordering, crossover — rather
-than absolute round counts.
+than absolute round counts.  The PERF benchmarks instead queue
+measurements with :func:`record`, which writes one ``BENCH_<name>.json``
+per row of ``check_regression.RECORDS``.
 """
 
 from __future__ import annotations
@@ -20,198 +22,38 @@ from repro.analysis import format_table, write_csv
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Machine-readable engine-throughput measurements, filled in by
-#: ``bench_engine_throughput.py`` via :func:`record_engine_throughput`
-#: and flushed to ``BENCH_engine_throughput.json`` at the repo root when
-#: the session ends (only if any were recorded this session).
-ENGINE_THROUGHPUT_RESULTS: List[Dict[str, object]] = []
-
-ENGINE_THROUGHPUT_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_engine_throughput.json"
-)
+#: Measurements queued this session, keyed by record name (a row of
+#: ``check_regression.RECORDS``); each non-empty list is flushed to its
+#: ``BENCH_<name>.json`` at the repo root when the session ends.
+_RESULTS: Dict[str, List[Dict[str, object]]] = {}
 
 
-#: Telemetry-overhead measurements, filled in by
-#: ``bench_telemetry_overhead.py`` and flushed to
-#: ``BENCH_telemetry_overhead.json`` at the repo root alongside the
-#: engine-throughput record.
-TELEMETRY_OVERHEAD_RESULTS: List[Dict[str, object]] = []
+def record(name: str, case: Dict[str, object]) -> None:
+    """Queue one measurement for record ``name``'s end-of-session JSON."""
+    from .check_regression import RECORDS
 
-TELEMETRY_OVERHEAD_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_telemetry_overhead.json"
-)
-
-
-#: Count-engine scaling measurements, filled in by
-#: ``bench_count_engine.py`` via :func:`record_count_engine` and flushed
-#: to ``BENCH_count_engine.json`` at the repo root; gated by
-#: ``benchmarks/check_regression.py`` in CI.
-COUNT_ENGINE_RESULTS: List[Dict[str, object]] = []
-
-COUNT_ENGINE_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_count_engine.json"
-)
-
-
-#: Service load measurements, filled in by ``bench_service_load.py``
-#: via :func:`record_service_load` and flushed to
-#: ``BENCH_service_load.json`` at the repo root; gated by
-#: ``benchmarks/check_regression.py`` in CI (cache-hit speedup floor,
-#: request-throughput floor).
-SERVICE_LOAD_RESULTS: List[Dict[str, object]] = []
-
-SERVICE_LOAD_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_service_load.json"
-)
-
-
-#: Networked-deployment round-trip measurements, filled in by
-#: ``bench_net_roundtrip.py`` via :func:`record_net_roundtrip` and
-#: flushed to ``BENCH_net_roundtrip.json`` at the repo root; gated by
-#: ``benchmarks/check_regression.py`` in CI (rounds/sec floor).
-NET_ROUNDTRIP_RESULTS: List[Dict[str, object]] = []
-
-NET_ROUNDTRIP_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_net_roundtrip.json"
-)
-
-
-#: Topology-sampler throughput + EXT4 comparison records, filled in by
-#: ``bench_topology_pull.py`` via :func:`record_topology_pull` and
-#: flushed to ``BENCH_topology_pull.json`` at the repo root; gated by
-#: ``benchmarks/check_regression.py`` in CI (samples/sec floor, >= 3
-#: graph families compared).
-TOPOLOGY_PULL_RESULTS: List[Dict[str, object]] = []
-
-TOPOLOGY_PULL_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_topology_pull.json"
-)
-
-
-#: Adversary-search cost records (SPRT trial savings, search
-#: throughput), filled in by ``bench_adversary_search.py`` via
-#: :func:`record_adversary_search` and flushed to
-#: ``BENCH_adversary_search.json`` at the repo root; gated by
-#: ``benchmarks/check_regression.py`` in CI (savings floor,
-#: evaluations/sec floor).
-ADVERSARY_SEARCH_RESULTS: List[Dict[str, object]] = []
-
-ADVERSARY_SEARCH_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_adversary_search.json"
-)
-
-
-def record_engine_throughput(case: Dict[str, object]) -> None:
-    """Queue one throughput measurement for the end-of-session JSON."""
-    ENGINE_THROUGHPUT_RESULTS.append(case)
-
-
-def record_telemetry_overhead(case: Dict[str, object]) -> None:
-    """Queue one telemetry-overhead measurement for the session JSON."""
-    TELEMETRY_OVERHEAD_RESULTS.append(case)
-
-
-def record_count_engine(case: Dict[str, object]) -> None:
-    """Queue one count-engine measurement for the end-of-session JSON."""
-    COUNT_ENGINE_RESULTS.append(case)
-
-
-def record_service_load(case: Dict[str, object]) -> None:
-    """Queue one service-load measurement for the end-of-session JSON."""
-    SERVICE_LOAD_RESULTS.append(case)
-
-
-def record_net_roundtrip(case: Dict[str, object]) -> None:
-    """Queue one cluster round-trip measurement for the session JSON."""
-    NET_ROUNDTRIP_RESULTS.append(case)
-
-
-def record_topology_pull(case: Dict[str, object]) -> None:
-    """Queue one topology-sampler measurement for the session JSON."""
-    TOPOLOGY_PULL_RESULTS.append(case)
-
-
-def record_adversary_search(case: Dict[str, object]) -> None:
-    """Queue one adversary-search measurement for the session JSON."""
-    ADVERSARY_SEARCH_RESULTS.append(case)
+    if name not in RECORDS:
+        raise KeyError(f"no benchmark record named {name!r}")
+    _RESULTS.setdefault(name, []).append(case)
 
 
 def pytest_sessionfinish(session, exitstatus):
-    # The digest ties each record to the engine sources it measured so
-    # the check_regression gate can fail on stale numbers.
-    from .check_regression import engine_sources_digest
+    # The digest ties each record to the sources it measured so the
+    # check_regression gate can fail on stale numbers.
+    from .check_regression import RECORDS, REPO_ROOT, sources_digest
 
-    digest = engine_sources_digest()
-    if ENGINE_THROUGHPUT_RESULTS:
+    for name, cases in _RESULTS.items():
+        row = RECORDS[name]
         payload = {
-            "benchmark": "engine_throughput",
+            "benchmark": name,
             "python": platform.python_version(),
             "machine": platform.machine(),
-            "sources_digest": digest,
-            "cases": ENGINE_THROUGHPUT_RESULTS,
+            "sources_digest": sources_digest(row.sources),
+            "cases": cases,
         }
-        ENGINE_THROUGHPUT_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if TELEMETRY_OVERHEAD_RESULTS:
-        payload = {
-            "benchmark": "telemetry_overhead",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cases": TELEMETRY_OVERHEAD_RESULTS,
-        }
-        TELEMETRY_OVERHEAD_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if COUNT_ENGINE_RESULTS:
-        payload = {
-            "benchmark": "count_engine",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "sources_digest": digest,
-            "cases": COUNT_ENGINE_RESULTS,
-        }
-        COUNT_ENGINE_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if SERVICE_LOAD_RESULTS:
-        from .check_regression import service_sources_digest
-
-        payload = {
-            "benchmark": "service_load",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "sources_digest": service_sources_digest(),
-            "cases": SERVICE_LOAD_RESULTS,
-        }
-        SERVICE_LOAD_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if NET_ROUNDTRIP_RESULTS:
-        from .check_regression import net_sources_digest
-
-        payload = {
-            "benchmark": "net_roundtrip",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "sources_digest": net_sources_digest(),
-            "cases": NET_ROUNDTRIP_RESULTS,
-        }
-        NET_ROUNDTRIP_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if TOPOLOGY_PULL_RESULTS:
-        from .check_regression import topology_sources_digest
-
-        payload = {
-            "benchmark": "topology_pull",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "sources_digest": topology_sources_digest(),
-            "cases": TOPOLOGY_PULL_RESULTS,
-        }
-        TOPOLOGY_PULL_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if ADVERSARY_SEARCH_RESULTS:
-        from .check_regression import adversary_sources_digest
-
-        payload = {
-            "benchmark": "adversary_search",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "sources_digest": adversary_sources_digest(),
-            "cases": ADVERSARY_SEARCH_RESULTS,
-        }
-        ADVERSARY_SEARCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+        (REPO_ROOT / row.filename).write_text(
+            json.dumps(payload, indent=2) + "\n"
+        )
 
 
 def emit_table(

@@ -29,6 +29,7 @@ goldens                           digests of committed reference trajectories
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pathlib
 import time
 from typing import Callable, List, Optional, Union
@@ -439,6 +440,20 @@ def _check_resilience(scale: str, budget: FalsePositiveBudget) -> str:
     )
 
 
+def _require_identical(legs, name, baseline, other, divergence):
+    """Append ``name`` to ``legs`` if two runs agree bit-for-bit.
+
+    Runs agree when their final opinions and convergence flags match;
+    otherwise raise ``divergence`` (formatted with ``name``).
+    """
+    if not np.array_equal(
+        np.asarray(baseline.final_opinions),
+        np.asarray(other.final_opinions),
+    ) or baseline.converged != other.converged:
+        raise ConfigurationError(divergence.format(name=name))
+    legs.append(name)
+
+
 def _check_faults(scale: str, budget: FalsePositiveBudget) -> str:
     """Model-layer fault subsystem conformance.
 
@@ -456,17 +471,12 @@ def _check_faults(scale: str, budget: FalsePositiveBudget) -> str:
     noise = NoiseMatrix.uniform(0.2, 2)
     schedule = SFSchedule.from_config(config, 0.2, m=24)
     legs = []
-
-    def same(name, baseline, faulted):
-        if not np.array_equal(
-            np.asarray(baseline.final_opinions),
-            np.asarray(faulted.final_opinions),
-        ) or baseline.converged != faulted.converged:
-            raise ConfigurationError(
-                f"IdentityFaultModel diverged from fault_model=None on "
-                f"{name} — the null fault path must be bit-identical"
-            )
-        legs.append(name)
+    same = functools.partial(
+        _require_identical,
+        legs,
+        divergence="IdentityFaultModel diverged from fault_model=None on "
+        "{name} — the null fault path must be bit-identical",
+    )
 
     population = Population(config, rng=np.random.default_rng(0))
     serial = [
@@ -975,18 +985,12 @@ def _check_topology(scale: str, budget: FalsePositiveBudget) -> str:
     noise = NoiseMatrix.uniform(0.2, 2)
     schedule = SFSchedule.from_config(config, 0.2, m=24)
     legs = []
-
-    def same(name, baseline, topologized):
-        if not np.array_equal(
-            np.asarray(baseline.final_opinions),
-            np.asarray(topologized.final_opinions),
-        ) or baseline.converged != topologized.converged:
-            raise ConfigurationError(
-                f"topology='complete' diverged from topology=None on "
-                f"{name} — the complete graph must take the untouched "
-                f"uniform path"
-            )
-        legs.append(name)
+    same = functools.partial(
+        _require_identical,
+        legs,
+        divergence="topology='complete' diverged from topology=None on "
+        "{name} — the complete graph must take the untouched uniform path",
+    )
 
     population = Population(config, rng=np.random.default_rng(0))
     serial = [
