@@ -25,10 +25,9 @@ Two seeding disciplines are offered (``rng_mode``):
 
 ``"shared"``
     All replicas' samples are drawn from a single generator in one
-    ``Generator.integers`` call over ``(R, n, h)`` with ``int32`` index
-    dtype (halving sample memory at ``h = n``) and one uniform block for
-    the noise.  Fastest; reproducible for a fixed ``(seed, R)`` but not
-    stream-identical to serial runs.
+    ``Generator.integers`` call over ``(R, n, h)`` and one uniform block
+    for the noise.  Fastest; reproducible for a fixed ``(seed, R)`` but
+    not stream-identical to serial runs.
 
 Replicas that satisfy the early-stopping rule leave the active set and
 stop consuming randomness, so ``"spawn"`` bit-identity survives early
@@ -375,9 +374,10 @@ class BatchedPullEngine:
                     for i in range(num_active):
                         sampled[i] = sampler.sample(None, h, bulk).reshape(n * h)
                 else:
-                    sampled = bulk.integers(
-                        0, pool, size=(num_active, n * h), dtype=np.int32
-                    )
+                    # Default (intp) dtype, so the gather below takes the
+                    # indices as drawn; an ``int32`` draw gives the same
+                    # values but costs a conversion every round.
+                    sampled = bulk.integers(0, pool, size=(num_active, n * h))
                 uniforms = bulk.random(num_active * n * h)
             if visible is not None:
                 sampled = visible[sampled]

@@ -12,6 +12,10 @@ allowed.  Two equivalent realizations are provided:
   per-symbol tallies are multinomial.  This is an exact identity
   (exchangeability), not an approximation, and it is what makes the fast
   protocol engines run in O(d) per agent-round instead of O(h).
+
+:func:`symbol_tallies` goes the other way for the agent-level engines:
+it turns one round's explicit ``(n, h)`` observations into the same
+per-agent symbol counts.
 """
 
 from __future__ import annotations
@@ -21,7 +25,12 @@ import numpy as np
 from ..noise import NoiseMatrix, observation_distribution
 from ..types import RngLike, coerce_rng
 
-__all__ = ["sample_indices", "sample_observation_counts", "multinomial_rows"]
+__all__ = [
+    "sample_indices",
+    "sample_observation_counts",
+    "multinomial_rows",
+    "symbol_tallies",
+]
 
 
 def sample_indices(
@@ -84,3 +93,18 @@ def sample_observation_counts(
     """
     q = observation_distribution(display_counts, noise)
     return multinomial_rows(h, q, num_agents, rng)
+
+
+def symbol_tallies(observations: np.ndarray, d: int) -> np.ndarray:
+    """Per-row counts of each symbol in an ``(rows, width)`` array.
+
+    Returns a ``(rows, d)`` ``int64`` array whose entry ``[i, sigma]`` is
+    how many entries of row ``i`` equal ``sigma``; every entry of
+    ``observations`` must lie in ``[0, d)``.  One ``bincount`` over the
+    keys ``row * d + symbol`` replaces ``d`` comparison passes over the
+    whole array.
+    """
+    obs = np.asarray(observations)
+    rows = obs.shape[0]
+    keys = obs + np.arange(0, rows * d, d)[:, None]
+    return np.bincount(keys.ravel(), minlength=rows * d).reshape(rows, d)

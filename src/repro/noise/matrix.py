@@ -48,9 +48,14 @@ class NoiseMatrix:
         self._matrix = array
         self._cumulative = np.cumsum(array, axis=1)
         # Guard against cumulative rounding: the last column must be 1 so
-        # that searchsorted never falls off the end.
+        # that the inversion never falls off the end.
         self._cumulative[:, -1] = 1.0
         self._cumulative.flags.writeable = False
+        # Row j holds cumulative column j for every displayed symbol: the
+        # d-1 thresholds the general-d inversion compares against (the
+        # last column is exactly 1.0 and never compares below a variate).
+        self._thresholds = np.ascontiguousarray(self._cumulative[:, :-1].T)
+        self._thresholds.flags.writeable = False
 
     # ------------------------------------------------------------------
     # Constructors
@@ -162,8 +167,8 @@ class NoiseMatrix:
         ``messages`` is an integer array of displayed symbols (any shape);
         the result has the same shape and holds the observed symbols.  The
         implementation draws one uniform variate per message and inverts
-        the per-row CDF — O(len * log d) with no Python-level loop over
-        messages.
+        the per-row CDF — O(len * d) vectorized work, with a Python-level
+        loop over the d-1 CDF columns only, never over messages.
 
         ``validate=False`` skips the range scan over ``messages`` — two
         full passes that the engines, which already enforce the protocol's
@@ -194,10 +199,18 @@ class NoiseMatrix:
         while corrupting the whole ``(R, n, h)`` batch in one call.
         ``dtype`` selects the output dtype (the batched engine asks for
         ``int8`` to quarter the observation-buffer bandwidth).
+
+        Raises :class:`NoiseMatrixError` unless there is exactly one
+        variate per message.
         """
         symbols = np.asarray(messages)
         flat = symbols.ravel()
-        u = uniforms.ravel()
+        u = np.asarray(uniforms).ravel()
+        if u.size != flat.size:
+            raise NoiseMatrixError(
+                f"need one uniform variate per message: got {u.size} "
+                f"variates for {flat.size} messages"
+            )
         if self.size == 2:
             # Binary fast path: the observed symbol is 1 exactly when the
             # variate clears the displayed symbol's P(observe 0) — the
@@ -220,12 +233,17 @@ class NoiseMatrix:
                 # buffer instead of copying it.
                 return observed.view(np.int8).reshape(symbols.shape)
             return observed.astype(dtype).reshape(symbols.shape)
-        # searchsorted per row: count thresholds strictly below the variate.
-        # The last cumulative column is exactly 1.0 and the variates lie in
-        # [0, 1), so it can never compare below — skip it.
-        cdf_rows = self._cumulative[flat, : self.size - 1]  # (k, d-1)
-        observed = (cdf_rows < u[:, None]).sum(axis=1)
-        return observed.reshape(symbols.shape).astype(dtype)
+        # General d: the observed symbol is the number of the displayed
+        # row's CDF thresholds strictly below the variate.  Count them one
+        # column at a time (a d-entry lookup and a compare per message),
+        # summed in the smallest unsigned integer that holds d-1.
+        index = flat.astype(np.intp, copy=False)
+        observed = np.zeros(flat.size, dtype=np.min_scalar_type(self.size - 1))
+        for column in self._thresholds:
+            observed += column.take(index) < u
+        if np.dtype(dtype) == np.int8 and observed.dtype == np.uint8:
+            return observed.view(np.int8).reshape(symbols.shape)
+        return observed.astype(dtype).reshape(symbols.shape)
 
     def observation_probabilities(self, display_distribution: np.ndarray) -> np.ndarray:
         """Distribution of a single noisy observation.

@@ -23,6 +23,7 @@ import numpy as np
 from ..exceptions import ProtocolError
 from ..model.engine import PullProtocol
 from ..model.population import Population
+from ..model.sampling import symbol_tallies
 from ..types import RngLike, coerce_rng
 from .kary import FastKAryPluralityFilter, KAryConfig
 
@@ -119,9 +120,7 @@ class KAryPluralityProtocol(PullProtocol):
     def receive(self, round_index: int, observations: np.ndarray) -> None:
         self._require_reset()
         k = self.params.config.k
-        tallies = np.stack(
-            [(observations == sigma).sum(axis=1) for sigma in range(k)], axis=1
-        )
+        tallies = symbol_tallies(observations, k)
         phase = self._phase_of(round_index)
         if phase is not None:
             credit = np.ones(k, dtype=bool)

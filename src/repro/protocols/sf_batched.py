@@ -91,8 +91,10 @@ class BatchedSourceFilter(BatchedPullProtocol):
         stage = schedule.phase_of(round_index)
         obs = np.asarray(observations)
         # Binary alphabet: the per-agent tally of observed 1s is a plain
-        # sum; observed 0s are the complement of the h draws.
-        ones = obs.sum(axis=2, dtype=np.int64)
+        # sum; observed 0s are the complement of the h draws.  The sum
+        # runs in the smallest unsigned integer that holds h, which
+        # reduces the int8 buffer faster than an int64 accumulator.
+        ones = obs.sum(axis=2, dtype=np.min_scalar_type(obs.shape[2]))
         all_active = replicas.size == self._counter1.shape[0]
         if stage == "phase0":
             if all_active:

@@ -31,6 +31,7 @@ import numpy as np
 from ..exceptions import ProtocolError
 from ..model.engine import PullProtocol
 from ..model.population import Population
+from ..model.sampling import symbol_tallies
 from ..types import RngLike, coerce_rng
 from .parameters import SSFSchedule
 
@@ -161,8 +162,7 @@ class SelfStabilizingSourceFilterProtocol(PullProtocol):
     def receive(self, round_index: int, observations: np.ndarray) -> None:
         self._require_reset()
         obs = np.asarray(observations)
-        for sigma in range(4):
-            self._memory[:, sigma] += (obs == sigma).sum(axis=1)
+        self._memory += symbol_tallies(obs, 4)
         self._fill += obs.shape[1]
         self._apply_updates()
 
