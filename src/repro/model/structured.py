@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..results import RunReport
 from ..rng import derive_seed
 from ..types import RngLike, coerce_rng
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["StableFlooding", "FloodingResult", "build_graph"]
 
@@ -45,8 +47,11 @@ def build_graph(kind: str, n: int, degree: int = 4, rng: RngLike = None) -> nx.G
     ``"regular"`` (random d-regular) or ``"grid"`` (a near-square
     ``side x ceil(n/side)`` 2-d lattice with ``side = isqrt(n)``,
     trimmed to exactly ``n`` nodes; exact squares build the usual
-    ``side x side`` lattice).
+    ``side x side`` lattice).  networkx is imported here, on first use,
+    so importing :mod:`repro` does not need it.
     """
+    import networkx as nx
+
     if kind == "complete":
         return nx.complete_graph(n)
     if kind == "path":
@@ -54,12 +59,17 @@ def build_graph(kind: str, n: int, degree: int = 4, rng: RngLike = None) -> nx.G
     if kind == "cycle":
         return nx.cycle_graph(n)
     if kind == "regular":
-        if (n * degree) % 2 != 0:
-            raise ConfigurationError("n * degree must be even for a regular graph")
-        # networkx wants a plain integer seed; derive it through the
+        from ..topology.graphs import random_regular_edges
+
+        # The pairing takes a plain integer seed; derive it through the
         # SeedSequence-spawn convention so the full 64-bit seed space is
         # reachable (a raw generator.integers(0, 2**31) draw is not).
-        return nx.random_regular_graph(degree, n, seed=derive_seed(rng))
+        edges = random_regular_edges(n, degree, derive_seed(rng))
+        # Built exactly as nx.random_regular_graph builds it, so each
+        # node lists its neighbours in the same order.
+        graph = nx.empty_graph(n)
+        graph.add_edges_from(edges)
+        return graph
     if kind == "grid":
         side = max(int(math.isqrt(n)), 1)
         if side * side == n:

@@ -83,8 +83,8 @@ def canonical_key(kind: str, request: Dict[str, object]) -> str:
 class ResultCache:
     """On-disk content-addressed store of service result envelopes.
 
-    Thread-safe; hit/miss/store counters feed the ``/health`` endpoint
-    and the load benchmark's cache-speedup measurement.
+    Thread-safe; hit/miss/store/corrupt counters feed the ``/health``
+    endpoint and the load benchmark's cache-speedup measurement.
     """
 
     def __init__(self, directory: PathLike) -> None:
@@ -94,22 +94,45 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self.corrupt = 0
 
     def _path(self, key: str) -> pathlib.Path:
         return self.directory / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
-        """The stored envelope for ``key``, or ``None`` on a miss."""
+        """The stored envelope for ``key``, or ``None`` on a miss.
+
+        An entry that does not parse as a JSON object (a truncated or
+        otherwise damaged file) is a miss: it is moved aside as
+        ``<key>.corrupt`` and counted, so the next :meth:`put` stores
+        the key afresh.
+        """
         path = self._path(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            envelope = json.loads(path.read_text(encoding="utf-8"))
+            damaged = not isinstance(envelope, dict)
         except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return None
+            envelope, damaged = None, False
+        except ValueError:  # truncated JSON or undecodable bytes
+            envelope, damaged = None, True
+        if damaged:
+            envelope = None
+            self._quarantine(path)
         with self._lock:
-            self.hits += 1
-        return json.loads(text)
+            if envelope is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return envelope
+
+    def _quarantine(self, path: pathlib.Path) -> None:
+        """Move a damaged entry aside as ``<key>.corrupt``."""
+        try:
+            path.replace(path.with_suffix(".corrupt"))
+        except FileNotFoundError:
+            return  # another reader moved it first
+        with self._lock:
+            self.corrupt += 1
 
     def put(self, key: str, envelope: Dict[str, object]) -> pathlib.Path:
         """Store ``envelope`` under ``key`` (atomic rename on POSIX)."""
@@ -139,6 +162,7 @@ class ResultCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "stores": self.stores,
+                "corrupt": self.corrupt,
                 "entries": self.entries,
                 "directory": str(self.directory),
             }

@@ -30,6 +30,7 @@ Two contracts matter for exactness:
 from __future__ import annotations
 
 import abc
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -193,9 +194,10 @@ class GraphTopology(TopologySampler):
 
     Subclasses implement :meth:`_build` and hand the realized adjacency
     to :meth:`_set_adjacency` (a networkx graph or a neighbor-list
-    sequence).  Sampling is fully vectorized: one broadcast
-    ``integers`` draw of per-agent offsets, one gather through the CSR
-    ``indices`` array.
+    sequence) or straight to :meth:`_freeze` (``(rows, cols)`` entry
+    arrays); either way one vectorized sort builds the CSR arrays.
+    Sampling is fully vectorized: one broadcast ``integers`` draw of
+    per-agent offsets, one gather through the CSR ``indices`` array.
     """
 
     def __init__(self) -> None:
@@ -208,8 +210,8 @@ class GraphTopology(TopologySampler):
     def _set_adjacency(self, neighbor_lists) -> None:
         """Freeze neighbor lists (or an nx graph) into CSR arrays.
 
-        Agents with no neighbors get a self-loop so every agent keeps a
-        nonempty sample space (degree >= 1 everywhere).
+        A graph contributes each node's ``neighbors``; a sequence holds
+        one iterable of neighbor indices per agent (duplicates kept).
         """
         n = self._require_bound()
         if hasattr(neighbor_lists, "number_of_nodes"):
@@ -219,21 +221,48 @@ class GraphTopology(TopologySampler):
                     f"graph must have nodes 0..{n - 1} exactly "
                     f"(got {graph.number_of_nodes()} nodes)"
                 )
-            neighbor_lists = [sorted(graph.neighbors(node)) for node in range(n)]
-        degrees = np.empty(n, dtype=np.int64)
-        chunks = []
-        for agent, neighbors in enumerate(neighbor_lists):
-            block = np.asarray(sorted(neighbors), dtype=np.int64)
-            if block.size == 0:
-                block = np.array([agent], dtype=np.int64)  # self-loop
-            if block.size and (block.min() < 0 or block.max() >= n):
+            adjacency = graph.adj  # successors, like graph.neighbors
+            rows = np.fromiter(adjacency, dtype=np.int64, count=n)
+            blocks = list(adjacency.values())
+        else:
+            blocks = list(neighbor_lists)
+            if len(blocks) != n:
                 raise ConfigurationError(
-                    f"neighbor indices of agent {agent} fall outside [0, {n})"
+                    f"need one neighbor list per agent: {n} lists, "
+                    f"got {len(blocks)}"
                 )
-            degrees[agent] = block.size
-            chunks.append(block)
-        self._degrees = degrees
-        self._indices = np.concatenate(chunks)
+            rows = np.arange(n, dtype=np.int64)
+        counts = np.fromiter(map(len, blocks), dtype=np.int64, count=n)
+        cols = np.fromiter(
+            chain.from_iterable(blocks), dtype=np.int64, count=int(counts.sum())
+        )
+        self._freeze(np.repeat(rows, counts), cols)
+
+    def _freeze(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Freeze directed adjacency entries ``rows[i] -> cols[i]`` into CSR.
+
+        Each agent's neighbors are sorted (duplicates kept).  Agents with
+        no neighbors get a self-loop so every agent keeps a nonempty
+        sample space (degree >= 1 everywhere).
+        """
+        n = self._require_bound()
+        outside = (cols < 0) | (cols >= n)
+        if outside.any():
+            agent = int(rows[outside].min())
+            raise ConfigurationError(
+                f"neighbor indices of agent {agent} fall outside [0, {n})"
+            )
+        degrees = np.bincount(rows, minlength=n)
+        isolated = np.flatnonzero(degrees == 0)
+        if isolated.size:
+            rows = np.concatenate([rows, isolated])
+            cols = np.concatenate([cols, isolated])
+            degrees[isolated] = 1
+        self._degrees = degrees.astype(np.int64, copy=False)
+        # One sort of the combined key row*n + col orders the entries by
+        # row, then by neighbor (n*n fits int64 for any n whose CSR fits
+        # in memory).
+        self._indices = np.sort(rows * n + cols) % n
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=self._indptr[1:])
 

@@ -2,19 +2,27 @@
 
 Random families draw their structure at :meth:`~TopologySampler.bind`
 time from the bind RNG (engines bind unbound samplers from the run
-generator, so each run realizes a fresh graph reproducibly).  The
-networkx-backed families import it lazily — the core engines must stay
-importable on a numpy-only install.
+generator, so each run realizes a fresh graph reproducibly).
+
+Only the lattice families (``grid``, ``cycle``, ``path``) and explicit
+networkx graphs need networkx, which they import lazily through
+:func:`repro.model.structured.build_graph`; the random-regular, churn
+and geometric families are numpy/stdlib only, so the engines run on a
+numpy-only install.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+import random
+from collections import defaultdict
+from itertools import chain
+from typing import Optional, Set, Tuple
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..rng import derive_seed
 from .base import GraphTopology
 
 __all__ = [
@@ -23,7 +31,83 @@ __all__ = [
     "LatticeTopology",
     "GeometricTopology",
     "ChurnTopology",
+    "random_regular_edges",
 ]
+
+
+def random_regular_edges(n: int, d: int, seed: int) -> Set[Tuple[int, int]]:
+    """The edge set of a uniform-ish random ``d``-regular graph on ``n`` nodes.
+
+    This is the Steger–Wormald pairing networkx's
+    ``random_regular_graph(d, n, seed)`` runs, step for step: the same
+    ``random.Random(seed)``, the same ``shuffle`` of the stub list, the
+    same insertion order into the edge set and the same restart when a
+    pass leaves no suitable pair.  It therefore returns an equal set,
+    built by the same insertions (so even its iteration order matches),
+    without building a graph object.  Edges are ``(u, v)`` with
+    ``u < v``.
+    """
+    if (n * d) % 2 != 0:
+        raise ConfigurationError("n * degree must be even for a regular graph")
+    if not 0 <= d < n:
+        raise ConfigurationError(
+            f"a regular graph needs 0 <= degree < n, got degree={d}, n={n}"
+        )
+    if d == 0:
+        return set()
+    shuffle = random.Random(seed).shuffle
+
+    def suitable(edges, potential_edges) -> bool:
+        # Is some leftover stub pair still joinable?  If not, the pass
+        # has failed and the whole pairing restarts.
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def try_creation():
+        edges = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            potential_edges = defaultdict(int)
+            shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+            if not suitable(edges, potential_edges):
+                return None
+            stubs = [
+                node
+                for node, potential in potential_edges.items()
+                for _ in range(potential)
+            ]
+        return edges
+
+    edges = try_creation()
+    while edges is None:
+        edges = try_creation()
+    return edges
+
+
+def _regular_degree(requested: int, n: int) -> int:
+    """The largest feasible regular degree ``<= requested`` for ``n``."""
+    degree = min(requested, n - 1)
+    if (n * degree) % 2 != 0:
+        degree -= 1
+    return degree
 
 
 class ExplicitGraphTopology(GraphTopology):
@@ -51,16 +135,18 @@ class RandomRegularTopology(GraphTopology):
         self.degree = int(degree)
 
     def _build(self, n: int, generator: np.random.Generator) -> None:
-        from ..model.structured import build_graph
-
-        degree = min(self.degree, n - 1)
-        if (n * degree) % 2 != 0:
-            degree -= 1
+        degree = _regular_degree(self.degree, n)
         if degree < 1:
             raise ConfigurationError(
                 f"no valid regular degree <= {self.degree} for n={n}"
             )
-        self._set_adjacency(build_graph("regular", n, degree=degree, rng=generator))
+        edges = random_regular_edges(n, degree, derive_seed(generator))
+        # Endpoints u0, v0, u1, v1, ...: each edge is the two entries
+        # u -> v and v -> u.
+        ends = np.fromiter(
+            chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
+        )
+        self._freeze(ends, ends.reshape(-1, 2)[:, ::-1].ravel())
 
 
 class LatticeTopology(GraphTopology):
@@ -165,14 +251,12 @@ class ChurnTopology(GraphTopology):
         self._dirty = False
 
     def _build(self, n: int, generator: np.random.Generator) -> None:
-        from ..model.structured import build_graph
-
-        degree = min(self.degree, n - 1)
-        if (n * degree) % 2 != 0:
-            degree -= 1
-        degree = max(degree, 1)
-        graph = build_graph("regular", n, degree=degree, rng=generator)
-        self._adjacency = [set(graph.neighbors(node)) for node in range(n)]
+        degree = max(_regular_degree(self.degree, n), 1)
+        adjacency = [set() for _ in range(n)]
+        for u, v in random_regular_edges(n, degree, derive_seed(generator)):
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        self._adjacency = adjacency
         self._dirty = True
 
     def begin_round(

@@ -116,6 +116,34 @@ class TestResultCache:
         assert json.loads(path.read_text()) == {"x": 1}
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("damage", ['{"x": ', "[1, 2]", "\udcff"])
+    def test_corrupt_entry_is_a_miss_then_stored_afresh(self, tmp_path, damage):
+        # A truncated (or otherwise non-object) entry used to count as a
+        # hit and then raise on every read of its key.
+        cache = ResultCache(tmp_path)
+        key = "cd" + "1" * 62
+        path = cache.put(key, {"x": 1})
+        path.write_text(damage, encoding="utf-8", errors="surrogateescape")
+        assert cache.get(key) is None
+        assert not path.exists()
+        assert path.with_suffix(".corrupt").exists()
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["corrupt"]) == (0, 1, 1)
+        assert stats["entries"] == 0
+        cache.put(key, {"x": 2})
+        assert cache.get(key) == {"x": 2}
+        assert cache.stats()["corrupt"] == 1
+
+    def test_corrupt_entry_recomputed_by_execute_run(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cold = execute_run(dict(RUN_REQUEST), cache=cache)
+        (path,) = list(tmp_path.rglob(f"{cold['cache_key']}.json"))
+        path.write_text(path.read_text()[:20])
+        again = execute_run(dict(RUN_REQUEST), cache=cache)
+        assert again["cached"] is False
+        assert again["report"] == cold["report"]
+        assert execute_run(dict(RUN_REQUEST), cache=cache)["cached"] is True
+
 
 class TestJobStore:
     def test_lifecycle(self):
@@ -238,6 +266,7 @@ class TestLiveServer:
         ]
         assert set(JOB_STATES) <= set(health["jobs"])
         assert "hits" in health["cache"]
+        assert health["cache"]["corrupt"] == 0
 
     def test_engines_endpoint_matches_registry(self, live_service):
         from repro.engines import capability_table

@@ -9,6 +9,15 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.model import StableFlooding, build_graph
 from repro.rng import derive_seed
+from repro.topology import graphs
+from repro.topology.graphs import random_regular_edges
+
+#: (n, d) cases for the pairing oracle: d = 1, d = n - 1 and small
+#: cubic graphs, where passes fail and the pairing restarts.
+REGULAR_CASES = [
+    (2, 1), (4, 3), (5, 4), (6, 3), (6, 5), (7, 6), (8, 3), (10, 1),
+    (10, 9), (12, 3), (20, 4), (30, 1), (50, 7), (64, 8), (100, 3),
+]
 
 
 class TestBuildGraph:
@@ -67,6 +76,58 @@ class TestBuildGraph:
         # built from the derived seed.
         expected = nx.random_regular_graph(4, 20, seed=derive_seed(0))
         assert set(new_graph.edges) == set(expected.edges)
+
+    @pytest.mark.parametrize("n,d", REGULAR_CASES)
+    def test_regular_edges_match_networkx_pairing(self, n, d):
+        for seed in range(24):
+            expected = nx.random_regular_graph(d, n, seed=seed)
+            edges = random_regular_edges(n, d, seed)
+            assert edges == {tuple(sorted(edge)) for edge in expected.edges}
+            assert len(edges) == n * d // 2
+
+    def test_regular_pairing_restarts_are_exercised(self, monkeypatch):
+        # The oracle cases above must include failed passes that restart
+        # the pairing from the full stub list (networkx's retry loop).
+        full_shuffles = []
+
+        class CountingRandom(graphs.random.Random):
+            def shuffle(self, x):
+                full_shuffles.append(len(x) == self.stubs)
+                super().shuffle(x)
+
+        monkeypatch.setattr(graphs.random, "Random", CountingRandom)
+        restarts = 0
+        for n, d in ((6, 3), (8, 3), (12, 3)):
+            CountingRandom.stubs = n * d
+            for seed in range(24):
+                full_shuffles.clear()
+                random_regular_edges(n, d, seed)
+                restarts += sum(full_shuffles) - 1
+        assert restarts > 0
+
+    def test_regular_zero_degree_is_empty(self):
+        assert random_regular_edges(5, 0, 1) == set()
+        assert build_graph("regular", 5, degree=0, rng=1).number_of_edges() == 0
+
+    @pytest.mark.parametrize("n,d,seed", [(20, 4, 0), (256, 4, 1), (65, 64, 2), (50, 3, 3)])
+    def test_regular_neighbor_order_matches_networkx(self, n, d, seed):
+        # StableFlooding teaches from the first informed neighbour, so
+        # the order of graph.neighbors is part of the contract.
+        graph = build_graph("regular", n, degree=d, rng=seed)
+        expected = nx.random_regular_graph(d, n, seed=derive_seed(seed))
+        assert list(graph.nodes) == list(expected.nodes)
+        for node in range(n):
+            assert list(graph.neighbors(node)) == list(expected.neighbors(node))
+
+    @pytest.mark.parametrize("n,d,message", [
+        (15, 3, "must be even"), (6, 6, "0 <= degree < n"),
+        (4, 6, "0 <= degree < n"), (4, -2, "0 <= degree < n"),
+    ])
+    def test_regular_parity_and_range_errors_are_typed(self, n, d, message):
+        with pytest.raises(ConfigurationError, match=message):
+            random_regular_edges(n, d, 0)
+        with pytest.raises(ConfigurationError, match=message):
+            build_graph("regular", n, degree=d, rng=0)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):

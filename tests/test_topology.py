@@ -1,10 +1,12 @@
 """Unit tests for the topology samplers (repro.topology)."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.model import build_graph
+from repro.rng import derive_seed
 from repro.topology import (
     TOPOLOGY_KINDS,
     ChurnTopology,
@@ -20,6 +22,123 @@ from repro.topology import (
 )
 
 pytestmark = pytest.mark.topology
+
+
+def reference_csr(neighbor_lists, n):
+    """The per-agent CSR freeze that the vectorized one replaced.
+
+    Kept here only as the oracle for ``GraphTopology._set_adjacency``.
+    """
+    if hasattr(neighbor_lists, "number_of_nodes"):
+        graph = neighbor_lists
+        neighbor_lists = [sorted(graph.neighbors(node)) for node in range(n)]
+    degrees = np.empty(n, dtype=np.int64)
+    chunks = []
+    for agent, neighbors in enumerate(neighbor_lists):
+        block = np.asarray(sorted(neighbors), dtype=np.int64)
+        if block.size == 0:
+            block = np.array([agent], dtype=np.int64)  # self-loop
+        if block.size and (block.min() < 0 or block.max() >= n):
+            raise ConfigurationError(
+                f"neighbor indices of agent {agent} fall outside [0, {n})"
+            )
+        degrees[agent] = block.size
+        chunks.append(block)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return indptr, np.concatenate(chunks), degrees
+
+
+def assert_csr(sampler, expected):
+    for name, want in zip(("_indptr", "_indices", "_degrees"), expected):
+        got = getattr(sampler, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.fixture
+def adjacency_inputs(monkeypatch):
+    """Record (a snapshot of) every ``_set_adjacency`` argument."""
+    seen = []
+    freeze = GraphTopology._set_adjacency
+
+    def recording(self, neighbor_lists):
+        if hasattr(neighbor_lists, "number_of_nodes"):
+            seen.append(neighbor_lists.copy())
+        else:
+            seen.append([list(block) for block in neighbor_lists])
+        freeze(self, neighbor_lists)
+
+    monkeypatch.setattr(GraphTopology, "_set_adjacency", recording)
+    return seen
+
+
+class TestCSRFreezeOracle:
+    """The vectorized freeze equals the per-agent loop on every family."""
+
+    @pytest.mark.parametrize("family", ["geometric", "grid", "cycle", "path"])
+    @pytest.mark.parametrize("n", [2, 10, 23, 240])
+    def test_static_families(self, adjacency_inputs, family, n):
+        sampler = create_topology(family).bind(n, n)
+        (given,) = adjacency_inputs
+        assert_csr(sampler, reference_csr(given, n))
+
+    @pytest.mark.parametrize("n,degree", [(2, 8), (7, 8), (40, 6), (301, 8), (64, 63)])
+    def test_random_regular_equals_networkx_then_loop(self, n, degree, seed=5):
+        sampler = RandomRegularTopology(degree=degree).bind(n, seed)
+        # The parent construction: networkx's generator seeded through
+        # derive_seed, then the per-agent freeze.
+        d = min(degree, n - 1)
+        d -= (n * d) % 2
+        generator = np.random.default_rng(seed)
+        graph = nx.random_regular_graph(d, n, seed=derive_seed(generator))
+        assert_csr(sampler, reference_csr(graph, n))
+
+    def test_churn_refreshes_every_round(self, adjacency_inputs):
+        sampler = ChurnTopology(degree=4, churn_rate=0.3).bind(40, 1)
+        generator = np.random.default_rng(2)
+        for round_index in range(6):
+            sampler.begin_round(round_index, generator)
+            sampler.sample(None, 3, generator)
+            assert_csr(sampler, reference_csr(adjacency_inputs[-1], 40))
+        assert len(adjacency_inputs) >= 6
+
+    def test_churn_starts_from_the_regular_graph(self):
+        churn = ChurnTopology(degree=4).bind(30, 9)
+        churn.degrees()  # the CSR is frozen lazily, on first use
+        regular = RandomRegularTopology(degree=4).bind(30, 9)
+        assert_csr(churn, (regular._indptr, regular._indices, regular._degrees))
+
+    def test_nx_self_loop_isolated_node_and_node_order(self):
+        graph = nx.Graph()
+        graph.add_nodes_from([3, 0, 5, 1, 4, 2])
+        graph.add_edges_from([(0, 3), (3, 3), (5, 1), (1, 0), (4, 0)])
+        sampler = ExplicitGraphTopology(graph).bind(6)
+        assert_csr(sampler, reference_csr(graph, 6))
+        assert sampler.degrees()[2] == 1  # isolated: self-loop
+
+    def test_nx_digraph_uses_successors(self):
+        graph = nx.DiGraph([(0, 1), (2, 0), (2, 1), (1, 1)])
+        sampler = ExplicitGraphTopology(graph).bind(3)
+        assert_csr(sampler, reference_csr(graph, 3))
+
+    def test_lists_with_duplicates_and_empty_rows(self):
+        lists = [[3, 1, 1], [], [0, 0, 0], [2, 3], np.array([4, 0]), set()]
+        sampler = ExplicitGraphTopology(lists).bind(6)
+        assert_csr(sampler, reference_csr(lists, 6))
+
+    def test_out_of_range_message_names_the_first_agent(self):
+        lists = [[1], [0, 2], [7, 0], [-1]]
+        with pytest.raises(ConfigurationError) as expected:
+            reference_csr(lists, 4)
+        with pytest.raises(ConfigurationError) as got:
+            ExplicitGraphTopology(lists).bind(4)
+        assert str(got.value) == str(expected.value)
+        assert "agent 2 " in str(got.value)
+
+    def test_wrong_number_of_lists_rejected(self):
+        with pytest.raises(ConfigurationError, match="one neighbor list per agent"):
+            ExplicitGraphTopology([[1], [0]]).bind(3)
 
 
 class TestCompleteTopology:
